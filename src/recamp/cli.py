@@ -2,13 +2,15 @@
 
 Subcommands: solve, verify, reduce, oracle, gen, winners.  Exit codes are
 uniform across commands: 0 for yes/ok, 1 for no/invalid, 2 for usage, parse,
-or precondition problems, 3 when an enumeration refuses to start because it
-would exceed the node budget (RECAMP_NODE_BUDGET overrides the default).
+or precondition problems, 3 when an enumeration would exceed the node budget,
+whether it refuses to start or stops partway (RECAMP_NODE_BUDGET overrides
+the default).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Any, Callable, Sequence
@@ -55,7 +57,7 @@ _SOLVERS: dict[str, Callable[..., SolveResult]] = {
     "brute": solve_brute,
 }
 
-_BUDGETED = {"auto", "brute"}
+_BUDGETED = {"auto", "brute", "fpt"}
 
 
 def _read(path: str) -> str:
@@ -226,6 +228,7 @@ def _cmd_winners(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recamp",

@@ -6,20 +6,23 @@ Entry points (all return a `SolveResult`):
 - `solve_trivial_scoring` trivial scoring rule, any bound: perfect b-matching.
 - `solve_fpt`             bounded variant, any rule: guard n ≤ k·ℓ, then an
                           exact-cover search over per-district winning sets.
-- `solve_brute`           exhaustive scan of all k^|A| placements (with a
-                          refusal budget), the reference oracle for the rest.
+- `solve_brute`           exhaustive scan of all k^|A| placements, the
+                          reference oracle for the rest.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
 - `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
 - `solve_auto`            dispatches to the cheapest applicable method.
 
-`build_exact_cover_system` exposes the intermediate cover structure used by
-`solve_fpt` so its equivalence with the decision problem can be tested
-directly.
+crc1 (singletons), the cover build (sets of size ≤ ℓ) and brute (every
+subset) ask one batched question, `_accepts`: which sets S ⊆ A does district
+i accept, electing all of S within the bound?  `verify` stays on the object
+path as the independent referee for every YES.  fpt and brute honour the
+node budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -30,13 +33,13 @@ from .core import (
     E1,
     E2,
     Borda,
+    Condorcet,
     ExplicitScoringFamily,
     TApproval,
     TrivialScoring,
     TVeto,
-    is_scoring_rule,
     scoring_vector,
-    winners,
+    winners,  # noqa: F401  (kept importable as recamp.solvers.winners for tracers)
 )
 from .errors import (
     PreconditionError,
@@ -91,6 +94,13 @@ def default_node_budget() -> int:
     return value
 
 
+def _resolve_budget(node_budget: int | None) -> int:
+    budget = node_budget if node_budget is not None else default_node_budget()
+    if budget < 1:
+        raise ShapeError(f"node budget must be >= 1, got {budget}")
+    return budget
+
+
 @dataclass(frozen=True)
 class SolveResult:
     answer: bool
@@ -120,6 +130,105 @@ def _reject(algorithm: str, statistics: dict[str, int]) -> SolveResult:
     return SolveResult(False, None, algorithm, statistics, None)
 
 
+def _price_matrix(inst: RecampaignInstance, order: list[str]) -> np.ndarray:
+    """prices[j, d] = the price of placing order[j] in district d (0-based)."""
+    return np.array(
+        [[inst.pricing.price(i, a) for i in range(1, inst.k + 1)] for a in order],
+        dtype=np.int64,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The district oracle
+# ---------------------------------------------------------------------------
+
+_SCORE_SENTINEL = np.iinfo(np.int64).min // 4
+
+
+def _scoring_winners(
+    rule, votes, index: dict[str, int], present: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """winner[r, c]: c wins the scoring election on the candidates present in row r."""
+    if isinstance(rule, ExplicitScoringFamily):
+        alpha = np.zeros((int(size.max(initial=0)) + 1,) * 2, dtype=np.int64)
+        for m in np.unique(size).tolist():
+            if m >= 1:
+                alpha[m, :m] = scoring_vector(rule, m)
+    scores = np.zeros(present.shape, dtype=np.int64)
+    for vote in votes:
+        perm = np.fromiter((index[c] for c in vote.order), dtype=np.int64)
+        pv = present[:, perm]
+        ranks = pv.cumsum(axis=1)
+        if isinstance(rule, TApproval):
+            pts = pv & (ranks <= rule.t)
+        elif isinstance(rule, TVeto):
+            pts = pv & (ranks <= (size - rule.t)[:, None])
+        elif isinstance(rule, Borda):
+            pts = (size[:, None] - ranks) * pv
+        else:  # ExplicitScoringFamily
+            pts = np.where(pv, alpha[size[:, None], ranks - 1], 0)
+        scores[:, perm] += pts
+    masked = np.where(present, scores, _SCORE_SENTINEL)
+    return present & (masked == masked.max(axis=1, initial=_SCORE_SENTINEL)[:, None])
+
+
+def _condorcet_winners(votes, index: dict[str, int], present: np.ndarray) -> np.ndarray:
+    """winner[r, c]: c beats every other candidate present in row r.
+
+    Restricting a ballot keeps its pairwise order, so one majority matrix
+    over the full pool serves every row."""
+    width = present.shape[1]
+    above = np.zeros((width, width), dtype=np.int64)
+    for vote in votes:
+        pos = np.empty(width, dtype=np.int64)
+        pos[[index[c] for c in vote.order]] = np.arange(width)
+        above += pos[:, None] < pos[None, :]
+    misses = (2 * above <= len(votes)) & ~np.eye(width, dtype=bool)
+    unbeaten = present.astype(np.int64) @ misses.T.astype(np.int64)
+    return present & (unbeaten == 0)
+
+
+def _accepts(
+    inst: RecampaignInstance, d: int, order: list[str], placed: np.ndarray
+) -> np.ndarray:
+    """verdict[r]: district d (0-based) accepts exactly the set placed in row r.
+
+    `placed` is a boolean matrix with one column per candidate of `order`.
+    A row is accepted when every candidate it places wins district d with
+    exactly those candidates added and, under a bound ℓ, the district has
+    at most ℓ winners.  The empty row is always accepted: untouched
+    districts carry no condition.
+    """
+    rule = inst.rule
+    district = inst.districts[d]
+    own = sorted(district.candidates)
+    pop = placed.sum(axis=1)
+    size = len(own) + pop
+    if isinstance(rule, TrivialScoring):
+        placed_win = np.ones(len(placed), dtype=bool)
+        win_count = size
+    elif isinstance(rule, E1):
+        placed_win = size == 3
+        win_count = np.where(placed_win, 3, 0)
+    else:
+        index = {c: j for j, c in enumerate(own + order)}
+        present = np.ones((len(placed), len(index)), dtype=bool)
+        present[:, len(own):] = placed
+        if isinstance(rule, Condorcet):
+            winner = _condorcet_winners(district.votes, index, present)
+        elif isinstance(rule, E2):
+            winner = _scoring_winners(TApproval(1), district.votes, index, present, size)
+            winner[size >= 4] = present[size >= 4]
+        else:
+            winner = _scoring_winners(rule, district.votes, index, present, size)
+        placed_win = np.all(winner[:, len(own):] | ~placed, axis=1)
+        win_count = winner.sum(axis=1)
+    verdict = placed_win
+    if isinstance(inst.bound, AtMost):
+        verdict = verdict & (win_count <= inst.bound.limit)
+    return verdict | (pop == 0)
+
+
 # ---------------------------------------------------------------------------
 # Bound 1: bipartite matching
 # ---------------------------------------------------------------------------
@@ -136,13 +245,14 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     if not (isinstance(inst.bound, AtMost) and inst.bound.limit == 1):
         raise WrongVariantError("solve_crc1 decides only the bound-1 variant")
     order = sorted(inst.additional)
+    singletons = np.eye(len(order), dtype=bool)
+    alone = [_accepts(inst, d, order, singletons) for d in range(inst.k)]
     left = [f"cand:{a}" for a in order]
     right = [f"dist:{i}" for i in range(1, inst.k + 1)]
     edges = []
-    for a in order:
+    for j, a in enumerate(order):
         for i in range(1, inst.k + 1):
-            wins = winners(inst.rule, inst.election_with(i, frozenset({a})))
-            if wins == frozenset({a}):
+            if alone[i - 1][j]:
                 weight = inst.pricing.price(i, a) if inst.pricing else 0
                 edges.append(Edge(f"cand:{a}", f"dist:{i}", weight))
     result = min_cost_max_cardinality_matching(
@@ -271,40 +381,58 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
     if inst.pricing is None:
         raise PreconditionError("price the instance first (see lift_to_priced)")
     order = sorted(inst.additional)
+    n = len(order)
     level = inst.bound.limit
     budget = inst.pricing.budget
+    prices = _price_matrix(inst, order)
+    by_size = []
+    for size in range(1, min(level, n) + 1):
+        combos = np.array(list(itertools.combinations(range(n), size)), dtype=np.int64)
+        rows = np.zeros((len(combos), n), dtype=bool)
+        np.put_along_axis(rows, combos, True, axis=1)
+        by_size.append((combos, rows))
     members = []
-    for i in range(1, inst.k + 1):
-        members.append(CoverMember(i, frozenset(), 0))
-        for size in range(1, min(level, len(order)) + 1):
-            for combo in itertools.combinations(order, size):
-                weight = sum(inst.pricing.price(i, a) for a in combo)
-                if weight > budget:
-                    continue
-                placed = frozenset(combo)
-                wins = winners(inst.rule, inst.election_with(i, placed))
-                if placed <= wins and len(wins) <= level:
-                    members.append(CoverMember(i, placed, weight))
+    for d in range(inst.k):
+        members.append(CoverMember(d + 1, frozenset(), 0))
+        for combos, rows in by_size:
+            weights = prices[combos, d].sum(axis=1)
+            fits = np.flatnonzero(weights <= budget)
+            ok = fits[_accepts(inst, d, order, rows[fits])]
+            members.extend(
+                CoverMember(d + 1, frozenset(order[j] for j in combos[r]), int(weights[r]))
+                for r in ok.tolist()
+            )
     return CoverSystem(
         frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget
     )
 
 
-def solve_fpt(inst: RecampaignInstance) -> SolveResult:
+def solve_fpt(
+    inst: RecampaignInstance, node_budget: int | None = None
+) -> SolveResult:
     """Decide any bounded variant: guard, then exact-cover search.
 
     More than k·ℓ additional candidates can never all win (each touched
     district holds at most ℓ of them), so such instances are rejected
     outright.  Otherwise unpriced instances are lifted to unit prices and the
-    cover system is searched district by district.
+    cover system is searched district by district.  The build is refused up
+    front (resource error) when its k·Σ_{s≤ℓ} C(|A|, s) candidate members
+    exceed the node budget, and the search stops with the same error once it
+    visits more members than the budget.
     """
     if not isinstance(inst.bound, AtMost):
         raise WrongVariantError("solve_fpt decides only bounded variants")
+    budget_nodes = _resolve_budget(node_budget)
     order = sorted(inst.additional)
     n = len(order)
     level = inst.bound.limit
     if n > inst.k * level:
         return _reject("fpt", {"nodes": 0, "members": 0, "guard": 1})
+    candidates = inst.k * sum(math.comb(n, s) for s in range(min(level, n) + 1))
+    if candidates > budget_nodes:
+        raise ResourceBudgetError(
+            f"{candidates} cover members to check exceed the node budget {budget_nodes}"
+        )
 
     work = inst if inst.pricing is not None else lift_to_priced(inst)
     system = build_exact_cover_system(work)
@@ -327,6 +455,10 @@ def solve_fpt(inst: RecampaignInstance) -> SolveResult:
             return None
         for member in by_district[i]:
             nodes += 1
+            if nodes > budget_nodes:
+                raise ResourceBudgetError(
+                    f"the cover search visited more than {budget_nodes} members"
+                )
             if spent + member.weight > budget:
                 continue
             if member.placed & used or not member.placed <= target:
@@ -351,7 +483,7 @@ def solve_fpt(inst: RecampaignInstance) -> SolveResult:
 # Brute force
 # ---------------------------------------------------------------------------
 
-_SCORE_SENTINEL = np.iinfo(np.int64).min // 4
+_CHUNK_ROWS = 1 << 14
 
 
 def _probe_explicit_vectors(inst: RecampaignInstance, n: int) -> None:
@@ -361,189 +493,19 @@ def _probe_explicit_vectors(inst: RecampaignInstance, n: int) -> None:
                 scoring_vector(inst.rule, size)
 
 
-def _scoring_verdicts(
-    inst: RecampaignInstance,
-    d_index: int,
-    order: list[str],
-    present_extra: np.ndarray,
-    pop: np.ndarray,
+def _half_tables(
+    k: int, first: int, count: int, prices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(everyone-placed-wins, winner-count) per subset mask, vectorized."""
-    rule = inst.rule
-    district = inst.districts[d_index]
-    own = sorted(district.candidates)
-    pool = own + order
-    index = {c: j for j, c in enumerate(pool)}
-    n_masks = present_extra.shape[0]
-    width = len(pool)
-    present = np.ones((n_masks, width), dtype=bool)
-    present[:, len(own):] = present_extra
-    m_present = len(own) + pop
+    """Per-district masks and costs of each placement of order[first:first+count].
 
-    scores = np.zeros((n_masks, width), dtype=np.int64)
-    if isinstance(rule, ExplicitScoringFamily):
-        max_m = int(m_present.max())
-        alpha = np.zeros((max_m + 1, max_m + 1), dtype=np.int64)
-        for m in sorted({int(x) for x in np.unique(m_present)}):
-            if m >= 1:
-                alpha[m, :m] = scoring_vector(rule, m)
-    for vote in district.votes:
-        perm = np.fromiter((index[c] for c in vote.order), dtype=np.int64)
-        pv = present[:, perm]
-        ranks = pv.cumsum(axis=1)
-        if isinstance(rule, TApproval):
-            pts = (pv & (ranks <= rule.t)).astype(np.int64)
-        elif isinstance(rule, TVeto):
-            pts = (pv & (ranks <= (m_present - rule.t)[:, None])).astype(np.int64)
-        elif isinstance(rule, Borda):
-            pts = (m_present[:, None] - ranks) * pv
-        else:  # ExplicitScoringFamily
-            pts = np.where(pv, alpha[m_present[:, None], ranks - 1], 0)
-        scores[:, perm] += pts
-
-    masked = np.where(present, scores, _SCORE_SENTINEL)
-    top = masked.max(axis=1)
-    winner = present & (masked == top[:, None])
-    win_count = winner.sum(axis=1)
-    placed_win = np.all(winner[:, len(own):] | ~present_extra, axis=1)
-    return placed_win, win_count
-
-
-def _district_verdicts(
-    inst: RecampaignInstance,
-    d_index: int,
-    order: list[str],
-    present_extra: np.ndarray,
-    pop: np.ndarray,
-) -> np.ndarray:
-    """verdict[mask] = district d accepts exactly that subset of A.
-
-    The empty subset is always acceptable (untouched districts carry no
-    condition)."""
-    rule = inst.rule
-    district = inst.districts[d_index]
-    n_masks = present_extra.shape[0]
-    own_count = len(district.candidates)
-
-    if isinstance(rule, TrivialScoring):
-        placed_win = np.ones(n_masks, dtype=bool)
-        win_count = own_count + pop
-    elif isinstance(rule, E1):
-        size = own_count + pop
-        placed_win = (pop == 0) | (size == 3)
-        win_count = np.where(size == 3, 3, 0)
-    elif is_scoring_rule(rule):
-        placed_win, win_count = _scoring_verdicts(
-            inst, d_index, order, present_extra, pop
-        )
-    else:
-        placed_win = np.empty(n_masks, dtype=bool)
-        win_count = np.empty(n_masks, dtype=np.int64)
-        for mask in range(n_masks):
-            placed = frozenset(
-                order[j] for j in range(len(order)) if mask >> j & 1
-            )
-            wins = winners(rule, inst.election_with(d_index + 1, placed))
-            placed_win[mask] = placed <= wins
-            win_count[mask] = len(wins)
-
-    verdict = placed_win
-    if isinstance(inst.bound, AtMost):
-        verdict = verdict & ((win_count <= inst.bound.limit) | (pop == 0))
-    verdict = verdict.copy()
-    verdict[0] = True
-    return verdict
-
-
-def _brute_tabled(
-    inst: RecampaignInstance, order: list[str], total: int
-) -> SolveResult:
-    n = len(order)
-    k = inst.k
-    masks = np.arange(1 << n, dtype=np.int64)
-    present_extra = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    pop = present_extra.sum(axis=1)
-    verdicts = [
-        _district_verdicts(inst, d, order, present_extra, pop) for d in range(k)
-    ]
-
-    priced = inst.pricing is not None
-    if priced:
-        price_mat = np.array(
-            [[inst.pricing.price(i, a) for i in range(1, k + 1)] for a in order],
-            dtype=np.int64,
-        )
-        budget = inst.pricing.budget
-    radix = np.array([k ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    bit = np.int64(1) << np.arange(n, dtype=np.int64)
-
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idxs = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idxs[:, None] // radix) % k
-        # Filter cheapest-first and shrink to the survivors after every
-        # district so mask lookups run on ever-smaller row sets; boolean
-        # masking keeps rows ascending, preserving first-witness order.
-        rows = np.arange(len(idxs), dtype=np.int64)
-        if priced:
-            cost_all = price_mat[np.arange(n), digits].sum(axis=1)
-            rows = rows[cost_all <= budget]
-        sub = digits[rows]
-        for d in range(k):
-            district_masks = ((sub == d) * bit).sum(axis=1)
-            keep = verdicts[d][district_masks]
-            rows = rows[keep]
-            sub = sub[keep]
-            if rows.size == 0:
-                break
-        if rows.size:
-            row = int(rows[0])
-            digs = digits[row]
-            placement = {order[j]: int(digs[j]) + 1 for j in range(n)}
-            stats = {"nodes": start + row + 1, "placements": total}
-            cost_val = int(cost_all[row]) if priced else None
-            return _accept(inst, placement, "brute", stats, cost_val)
-    return _reject("brute", {"nodes": total, "placements": total})
-
-
-def _brute_plain(
-    inst: RecampaignInstance, order: list[str], total: int
-) -> SolveResult:
-    n = len(order)
-    k = inst.k
-    level = inst.bound.limit if isinstance(inst.bound, AtMost) else None
-    memo: list[dict[frozenset, bool]] = [dict() for _ in range(k)]
-
-    def district_ok(i: int, placed: frozenset[str]) -> bool:
-        if not placed:
-            return True
-        cached = memo[i - 1].get(placed)
-        if cached is None:
-            wins = winners(inst.rule, inst.election_with(i, placed))
-            cached = placed <= wins and (level is None or len(wins) <= level)
-            memo[i - 1][placed] = cached
-        return cached
-
-    nodes = 0
-    for digs in itertools.product(range(k), repeat=n):
-        nodes += 1
-        placed_sets: list[set[str]] = [set() for _ in range(k)]
-        for j, d in enumerate(digs):
-            placed_sets[d].add(order[j])
-        if inst.pricing is not None:
-            cost = sum(
-                inst.pricing.price(d + 1, order[j]) for j, d in enumerate(digs)
-            )
-            if cost > inst.pricing.budget:
-                continue
-        if all(
-            district_ok(i + 1, frozenset(placed_sets[i])) for i in range(k)
-        ):
-            placement = {order[j]: digs[j] + 1 for j in range(n)}
-            stats = {"nodes": nodes, "placements": total}
-            cost_val = cost if inst.pricing is not None else None
-            return _accept(inst, placement, "brute", stats, cost_val)
-    return _reject("brute", {"nodes": total, "placements": total})
+    Placements run in lexicographic order; masks[p, d] holds the bits of the
+    candidates that placement p sends to district d."""
+    idx = np.arange(k**count, dtype=np.int64)
+    digits = (idx[:, None] // k ** np.arange(count - 1, -1, -1, dtype=np.int64)) % k
+    bits = np.int64(1) << np.arange(first, first + count, dtype=np.int64)
+    masks = np.stack([((digits == d) * bits).sum(axis=1) for d in range(k)], axis=1)
+    costs = prices[np.arange(first, first + count), digits].sum(axis=1)
+    return masks, costs
 
 
 def solve_brute(
@@ -556,9 +518,7 @@ def solve_brute(
     scan is refused up front (resource error) when k^|A| exceeds the node
     budget.
     """
-    budget = node_budget if node_budget is not None else default_node_budget()
-    if budget < 1:
-        raise ShapeError(f"node budget must be >= 1, got {budget}")
+    budget = _resolve_budget(node_budget)
     order = sorted(inst.additional)
     n = len(order)
     k = inst.k
@@ -579,13 +539,41 @@ def solve_brute(
             return SolveResult(True, asg, "brute", stats, report.total_cost)
         return _reject("brute", stats)
 
-    fast_rule = isinstance(
-        inst.rule, (TApproval, TVeto, Borda, TrivialScoring, ExplicitScoringFamily, E1)
-    )
-    table_cap = 16 if fast_rule else 12
-    if n <= table_cap and total <= 2**62:
-        return _brute_tabled(inst, order, total)
-    return _brute_plain(inst, order, total)
+    tables = np.empty((k, 1 << n), dtype=bool)
+    for start in range(0, 1 << n, _CHUNK_ROWS):
+        masks = np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=np.int64)
+        placed = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        for d in range(k):
+            tables[d, start : start + len(masks)] = _accepts(inst, d, order, placed)
+
+    # A placement is a digit string over the sorted candidates; split it into
+    # a high and a low half.  Row-major order over (high, low) is the
+    # lexicographic order, so the first survivor is the first witness.
+    priced = inst.pricing is not None
+    prices = _price_matrix(inst, order) if priced else np.zeros((n, k), dtype=np.int64)
+    split = n // 2
+    hi_masks, hi_costs = _half_tables(k, 0, split, prices)
+    lo_masks, lo_costs = _half_tables(k, split, n - split, prices)
+    n_lo = len(lo_costs)
+    block = max(1, _CHUNK_ROWS // n_lo)
+    for h0 in range(0, len(hi_costs), block):
+        width = min(block, len(hi_costs) - h0)
+        hi = np.repeat(np.arange(h0, h0 + width, dtype=np.int64), n_lo)
+        lo = np.tile(np.arange(n_lo, dtype=np.int64), width)
+        if priced:
+            fits = hi_costs[hi] + lo_costs[lo] <= inst.pricing.budget
+            hi, lo = hi[fits], lo[fits]
+        for d in range(k):
+            keep = tables[d, hi_masks[hi, d] | lo_masks[lo, d]]
+            hi, lo = hi[keep], lo[keep]
+        if hi.size:
+            h, l = int(hi[0]), int(lo[0])
+            index = h * n_lo + l
+            placement = {order[j]: index // k ** (n - 1 - j) % k + 1 for j in range(n)}
+            stats = {"nodes": index + 1, "placements": total}
+            cost_val = int(hi_costs[h] + lo_costs[l]) if priced else None
+            return _accept(inst, placement, "brute", stats, cost_val)
+    return _reject("brute", {"nodes": total, "placements": total})
 
 
 # ---------------------------------------------------------------------------
@@ -688,5 +676,5 @@ def solve_auto(
     if isinstance(inst.bound, AtMost) and inst.bound.limit == 1:
         return solve_crc1(inst)
     if isinstance(inst.bound, AtMost):
-        return solve_fpt(inst)
+        return solve_fpt(inst, node_budget)
     return solve_brute(inst, node_budget)

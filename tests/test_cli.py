@@ -127,6 +127,16 @@ class TestSolve:
         code, _ = run("solve", path, "--algorithm", "brute")
         assert code == 3
 
+    def test_fpt_node_budget(self, run, tmp_path, monkeypatch):
+        path = tmp_path / "bounded.json"
+        gen = ("gen", "-k", 4, "-n", 9, "--rule", "borda", "--bound", 3, "-o", path)
+        assert run(*gen)[0] == 0
+        assert run("solve", path, "--node-budget", 1)[0] == 3
+        assert run("solve", path, "--algorithm", "fpt", "--node-budget", 1)[0] == 3
+        monkeypatch.setenv("RECAMP_NODE_BUDGET", "1")
+        assert run("solve", path)[0] == 3
+        assert run("solve", path, "--algorithm", "fpt")[0] == 3
+
     def test_unreadable_file(self, run, tmp_path):
         code, _ = run("solve", tmp_path / "absent.json")
         assert code == 2
@@ -399,6 +409,29 @@ class TestWinners:
         path.write_text("{nope")
         code, _ = run("winners", path, "--rule", "borda")
         assert code == 2
+
+
+def test_successive_calls_do_not_share_parsed_values(run, tmp_path):
+    inst = RecampaignInstance(
+        TrivialScoring(),
+        tuple(District([]) for _ in range(10)),
+        frozenset(f"a{j}" for j in range(9)),
+        AtMost(9),
+    )
+    path = tmp_path / "huge.json"
+    path.write_text(render_instance(inst))
+    asg_path = tmp_path / "asg.json"
+    code, _ = run("solve", path, "--algorithm", "brute", "--node-budget", 10)
+    assert code == 3
+    election = tmp_path / "e.json"
+    election.write_text(render_election(THREE_VOTES))
+    assert run("winners", election, "--rule", "borda") == (0, "a\n")
+    code, out = run("solve", path, "--assignment-out", asg_path)
+    assert code == 0
+    assert json.loads(out)["algorithm"] == "b-matching"
+    asg_path.unlink()
+    assert run("solve", path)[0] == 0
+    assert not asg_path.exists()
 
 
 def test_stdout_output_with_dash(run, tmp_path, capsys):

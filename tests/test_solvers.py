@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from recamp import (
     E1,
     E2,
     Election,
+    ExplicitScoringFamily,
     LinearVote,
     Pricing,
     RandomInstanceParams,
@@ -25,6 +27,7 @@ from recamp import (
     ResourceBudgetError,
     TApproval,
     TrivialScoring,
+    TVeto,
     UNBOUNDED,
     WrongVariantError,
     build_exact_cover_system,
@@ -37,7 +40,9 @@ from recamp import (
     solve_fpt,
     solve_trivial_scoring,
     verify,
+    winners,
 )
+from recamp.solvers import _accepts
 
 from oracles import exact_cover_scan, placement_scan
 
@@ -168,7 +173,8 @@ class TestSolveCrc1:
             priced=bool(rng.getrandbits(1)),
         )
         inst = random_instance(params, seed)
-        assert checked(inst, solve_crc1(inst)).answer == solve_brute(inst).answer
+        answer = checked(inst, solve_crc1(inst)).answer
+        assert answer == solve_brute(inst).answer == placement_scan(inst)[0]
 
 
 class TestSolveTrivialScoring:
@@ -317,7 +323,8 @@ class TestSolveFpt:
             priced=bool(rng.getrandbits(1)),
         )
         inst = random_instance(params, seed)
-        assert checked(inst, solve_fpt(inst)).answer == solve_brute(inst).answer
+        answer = checked(inst, solve_fpt(inst)).answer
+        assert answer == solve_brute(inst).answer == placement_scan(inst)[0]
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=100, deadline=None)
@@ -341,6 +348,68 @@ class TestSolveFpt:
         inst = RecampaignInstance(Borda(), (District([]),), frozenset(), UNBOUNDED)
         with pytest.raises(WrongVariantError):
             solve_fpt(inst)
+
+    def test_node_budget(self):
+        # Condorcet over empty, vote-less districts accepts only singletons,
+        # so the search tries all 4 × 4 member pairs before answering NO:
+        # 2·8 cover members to check, 20 member visits.
+        inst = RecampaignInstance(
+            Condorcet(), (District([]), District([])), frozenset("abc"), AtMost(3)
+        )
+        with pytest.raises(ResourceBudgetError, match="cover members"):
+            solve_fpt(inst, node_budget=15)
+        with pytest.raises(ResourceBudgetError, match="visited more than 19"):
+            solve_fpt(inst, node_budget=19)
+        result = solve_fpt(inst, node_budget=20)
+        assert not result.answer and result.statistics["nodes"] == 20
+        with pytest.raises(ResourceBudgetError):
+            solve_auto(inst, node_budget=16)
+
+
+def _random_rule(rng: random.Random, max_size: int):
+    vectors = [
+        sorted((rng.randint(0, 3) for _ in range(m)), reverse=True)
+        for m in range(1, max_size + 1)
+    ]
+    return rng.choice(
+        [
+            TApproval(rng.randint(1, 2)),
+            TVeto(rng.randint(1, 2)),
+            Borda(),
+            TrivialScoring(),
+            ExplicitScoringFamily(vectors),
+            Condorcet(),
+            E1(),
+            E2(),
+        ]
+    )
+
+
+class TestDistrictOracle:
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_matches_winners_on_every_subset(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 4)
+        params = RandomInstanceParams(
+            districts=rng.randint(1, 3),
+            additional=n,
+            rule=_random_rule(rng, 3 + n),
+            max_votes=rng.randint(0, 4),
+            bound=rng.choice([AtMost(1), AtMost(2), AtMost(3), UNBOUNDED]),
+        )
+        inst = random_instance(params, seed)
+        order = sorted(inst.additional)
+        rows = np.array(
+            list(itertools.product([False, True], repeat=n)), dtype=bool
+        ).reshape(2**n, n)
+        for d in range(inst.k):
+            got = _accepts(inst, d, order, rows)
+            for row, verdict in zip(rows, got):
+                placed = frozenset(a for a, bit in zip(order, row) if bit)
+                w = winners(inst.rule, inst.election_with(d + 1, placed))
+                within = inst.bound == UNBOUNDED or len(w) <= inst.bound.limit
+                assert verdict == (not placed or (placed <= w and within))
 
 
 class TestSolveBrute:
