@@ -135,7 +135,7 @@ def _price_matrix(inst: RecampaignInstance, order: list[str]) -> np.ndarray:
     return np.array(
         [[inst.pricing.price(i, a) for i in range(1, inst.k + 1)] for a in order],
         dtype=np.int64,
-    )
+    ).reshape(len(order), inst.k)
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +384,22 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
     n = len(order)
     level = inst.bound.limit
     budget = inst.pricing.budget
-    prices = _price_matrix(inst, order)
-    by_size = []
-    for size in range(1, min(level, n) + 1):
-        combos = np.array(list(itertools.combinations(range(n), size)), dtype=np.int64)
-        rows = np.zeros((len(combos), n), dtype=bool)
-        np.put_along_axis(rows, combos, True, axis=1)
-        by_size.append((combos, rows))
+    combos = [
+        c for s in range(1, min(level, n) + 1) for c in itertools.combinations(range(n), s)
+    ]
+    rows = np.zeros((len(combos), n), dtype=bool)
+    for r, combo in enumerate(combos):
+        rows[r, combo] = True
+    placed = [frozenset(order[j] for j in combo) for combo in combos]
+    weights = rows.astype(np.int64) @ _price_matrix(inst, order)
     members = []
     for d in range(inst.k):
         members.append(CoverMember(d + 1, frozenset(), 0))
-        for combos, rows in by_size:
-            weights = prices[combos, d].sum(axis=1)
-            fits = np.flatnonzero(weights <= budget)
-            ok = fits[_accepts(inst, d, order, rows[fits])]
-            members.extend(
-                CoverMember(d + 1, frozenset(order[j] for j in combos[r]), int(weights[r]))
-                for r in ok.tolist()
-            )
+        fits = np.flatnonzero(weights[:, d] <= budget)
+        ok = fits[_accepts(inst, d, order, rows[fits])]
+        members.extend(
+            CoverMember(d + 1, placed[r], int(weights[r, d])) for r in ok.tolist()
+        )
     return CoverSystem(
         frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget
     )
@@ -473,9 +471,7 @@ def solve_fpt(
     if chosen is None:
         return _reject("fpt", stats)
     placement = {a: m.district for m in chosen for a in m.placed}
-    cost = (
-        sum(m.weight for m in chosen) if inst.pricing is not None else None
-    )
+    cost = sum(m.weight for m in chosen) if inst.pricing is not None else None
     return _accept(inst, placement, "fpt", stats, cost)
 
 
@@ -499,10 +495,11 @@ def _half_tables(
     """Per-district masks and costs of each placement of order[first:first+count].
 
     Placements run in lexicographic order; masks[p, d] holds the bits of the
-    candidates that placement p sends to district d."""
+    candidates that placement p sends to district d; bit n-1-j stands for
+    order[j]."""
     idx = np.arange(k**count, dtype=np.int64)
     digits = (idx[:, None] // k ** np.arange(count - 1, -1, -1, dtype=np.int64)) % k
-    bits = np.int64(1) << np.arange(first, first + count, dtype=np.int64)
+    bits = np.int64(1) << (len(prices) - 1 - np.arange(first, first + count))
     masks = np.stack([((digits == d) * bits).sum(axis=1) for d in range(k)], axis=1)
     costs = prices[np.arange(first, first + count), digits].sum(axis=1)
     return masks, costs
@@ -539,12 +536,23 @@ def solve_brute(
             return SolveResult(True, asg, "brute", stats, report.total_cost)
         return _reject("brute", stats)
 
-    tables = np.empty((k, 1 << n), dtype=bool)
-    for start in range(0, 1 << n, _CHUNK_ROWS):
-        masks = np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=np.int64)
-        placed = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-        for d in range(k):
-            tables[d, start : start + len(masks)] = _accepts(inst, d, order, placed)
+    # Each district's verdict table is filled a chunk of masks at a time, on
+    # first use.  The leading candidates take the high bits, so a block of
+    # consecutive placements touches few chunks: an early witness does not
+    # pay for the whole table.
+    tables = np.zeros((k, 1 << n), dtype=bool)
+    filled = np.zeros((k, max(1, (1 << n) // _CHUNK_ROWS)), dtype=bool)
+    bit_of = np.arange(n - 1, -1, -1)
+
+    def accepted(d: int, masks: np.ndarray) -> np.ndarray:
+        if not filled[d].all():
+            for c in np.unique(masks // _CHUNK_ROWS).tolist():
+                if not filled[d, c]:
+                    span = np.arange(c * _CHUNK_ROWS, min((c + 1) * _CHUNK_ROWS, 1 << n))
+                    placed = ((span[:, None] >> bit_of) & 1).astype(bool)
+                    tables[d, span] = _accepts(inst, d, order, placed)
+                    filled[d, c] = True
+        return tables[d, masks]
 
     # A placement is a digit string over the sorted candidates; split it into
     # a high and a low half.  Row-major order over (high, low) is the
@@ -564,7 +572,7 @@ def solve_brute(
             fits = hi_costs[hi] + lo_costs[lo] <= inst.pricing.budget
             hi, lo = hi[fits], lo[fits]
         for d in range(k):
-            keep = tables[d, hi_masks[hi, d] | lo_masks[lo, d]]
+            keep = accepted(d, hi_masks[hi, d] | lo_masks[lo, d])
             hi, lo = hi[keep], lo[keep]
         if hi.size:
             h, l = int(hi[0]), int(lo[0])

@@ -42,6 +42,7 @@ from recamp import (
     verify,
     winners,
 )
+from recamp import solvers
 from recamp.solvers import _accepts
 
 from oracles import exact_cover_scan, placement_scan
@@ -461,6 +462,40 @@ class TestSolveBrute:
         )
         inst = random_instance(params, seed)
         assert checked(inst, solve_brute(inst)).answer == placement_scan(inst)[0]
+
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_small_chunks_find_the_first_witness(self, seed):
+        """Many table chunks and scan blocks: the lexicographically first
+        valid placement is still the witness, at its 1-based index."""
+        rng = random.Random(seed)
+        params = RandomInstanceParams(
+            districts=rng.randint(2, 3),
+            additional=rng.randint(3, 5),
+            rule=_random_rule(rng, 8),
+            max_votes=rng.randint(0, 3),
+            bound=rng.choice([AtMost(2), AtMost(3), UNBOUNDED]),
+            priced=bool(rng.getrandbits(1)),
+        )
+        inst = random_instance(params, seed)
+        order = sorted(inst.additional)
+        placements = itertools.product(range(1, inst.k + 1), repeat=len(order))
+        first = next(
+            (
+                (index, dict(zip(order, digits)))
+                for index, digits in enumerate(placements, start=1)
+                if verify(inst, Assignment(dict(zip(order, digits)))).valid
+            ),
+            None,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_CHUNK_ROWS", 4)
+            result = checked(inst, solve_brute(inst))
+        if first is None:
+            assert not result.answer
+        else:
+            assert result.statistics["nodes"] == first[0]
+            assert result.assignment.placement == first[1]
 
 
 class TestSolveE1Bound3:
