@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Cross-validate the routed solvers against the brute-force scan.
+"""Cross-validate the routed solvers against the subset DP and a placement scan.
 
 Draws seeded random instances for every built-in rule across all variants
-(winner bounds 1/2/3/unbounded, priced and unpriced), decides each instance
-twice — once through `solve_auto`, once through `solve_brute` — and reports
-per-rule agreement, yes-rates, and which specialized routes fired.  Exits
-nonzero on the first disagreement, so the script doubles as a soak test.
+(winner bounds 1/2/3/unbounded, priced and unpriced) and decides each one
+three times: through `solve_auto`, through `solve_brute` (the subset DP,
+which is also the route `solve_auto` takes for the unbounded variants
+without a polynomial method), and with `placement_scan` from
+`tests/oracles.py`, which checks every placement with `verify` and shares
+no code with the solvers' district oracle.  Reports per-rule agreement,
+yes-rates, and which routes fired.  Exits nonzero if any answer disagrees,
+so the script doubles as a soak test.
 
     python3 scripts/cross_validate.py --trials 400 --seed 7
 """
@@ -14,6 +18,7 @@ import argparse
 import collections
 import sys
 import time
+from pathlib import Path
 
 from recamp import (
     UNBOUNDED,
@@ -30,6 +35,9 @@ from recamp import (
     solve_auto,
     solve_brute,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import placement_scan  # noqa: E402
 
 RULES = {
     "1-approval": TApproval(1),
@@ -71,15 +79,17 @@ def run(args: argparse.Namespace) -> int:
             t1 = time.perf_counter()
             slow = solve_brute(inst, node_budget=args.node_budget)
             t2 = time.perf_counter()
+            scan = placement_scan(inst)[0]
             auto_time += t1 - t0
             brute_time += t2 - t1
             routes[fast.algorithm] += 1
             yes += fast.answer
-            if fast.answer != slow.answer:
+            if not fast.answer == slow.answer == scan:
                 disagree += 1
                 failures += 1
                 print(f"  DISAGREEMENT under {name}: auto={fast.answer} "
-                      f"brute={slow.answer} seed={args.seed * 100_000 + trial}",
+                      f"brute={slow.answer} scan={scan} "
+                      f"seed={args.seed * 100_000 + trial}",
                       file=sys.stderr)
         route_note = " ".join(f"{r}:{c}" for r, c in sorted(routes.items()))
         print(f"{name:<12} {args.trials:>6} {yes:>5} {disagree:>8} "
@@ -88,7 +98,7 @@ def run(args: argparse.Namespace) -> int:
     if failures:
         print(f"\n{failures} disagreement(s) found", file=sys.stderr)
         return 1
-    print("\nall routed answers agree with brute force")
+    print("\nall answers agree with the subset DP and the placement scan")
     return 0
 
 

@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--assignment-out", default=None)
     solve.set_defaults(func=_cmd_solve)
 
-    oracle = sub.add_parser("oracle", help="brute-force an instance file")
+    oracle = sub.add_parser("oracle", help="decide an instance file with the exact DP (solve_brute)")
     oracle.add_argument("instance")
     oracle.add_argument("--node-budget", type=int, default=None)
     oracle.add_argument("--assignment-out", default=None)

@@ -6,17 +6,21 @@ Entry points (all return a `SolveResult`):
 - `solve_trivial_scoring` trivial scoring rule, any bound: perfect b-matching.
 - `solve_fpt`             bounded variant, any rule: guard n ≤ k·ℓ, then an
                           exact-cover search over per-district winning sets.
-- `solve_brute`           exhaustive scan of all k^|A| placements, the
-                          reference oracle for the rest.
+- `solve_brute`           any variant: a subset DP over (district, covered
+                          set) on the verdict tables, the reference for the
+                          rest; its witness is the lexicographically first
+                          valid placement.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
 - `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
 - `solve_auto`            dispatches to the cheapest applicable method.
 
 crc1 (singletons), the cover build (sets of size ≤ ℓ) and brute (every
-subset) ask one batched question, `_accepts`: which sets S ⊆ A does district
-i accept, electing all of S within the bound?  `verify` stays on the object
-path as the independent referee for every YES.  fpt and brute honour the
-node budget.
+subset for districts 1..k-1, the complements of the sets they can take for
+district k) ask one batched question, `_accepts`: which sets S ⊆ A does
+district i accept, electing all of S within the bound?  `verify` stays on
+the object path as the independent referee for every YES.  fpt and brute
+honour the node budget; brute still refuses when k^|A| exceeds it, as the
+placement scan it replaced did, so exit codes do not change.
 """
 
 from __future__ import annotations
@@ -148,43 +152,59 @@ _SCORE_SENTINEL = np.iinfo(np.int64).min // 4
 def _scoring_winners(
     rule, votes, index: dict[str, int], present: np.ndarray, size: np.ndarray
 ) -> np.ndarray:
-    """winner[r, c]: c wins the scoring election on the candidates present in row r."""
+    """winner[c, r]: c wins the scoring election on the candidates present in column r.
+
+    `present` is candidates-major, one column per placed set, so a ballot is
+    ranked by one cumsum down axis 0 across every set at once.  The ranks
+    are narrow unsigned integers that never exceed the candidate count, so
+    the cumsum adds them as lanes of 64-bit words, several sets per add,
+    with no carry crossing from one lane into the next."""
+    width, rows = present.shape
+    rank = np.min_scalar_type(width)
+    pad = -rows % (8 // rank.itemsize)
+    if pad:
+        present = np.concatenate((present, np.zeros((width, pad), dtype=bool)), axis=1)
+        size = np.concatenate((size, np.zeros(pad, dtype=size.dtype)))
     if isinstance(rule, ExplicitScoringFamily):
         alpha = np.zeros((int(size.max(initial=0)) + 1,) * 2, dtype=np.int64)
         for m in np.unique(size).tolist():
             if m >= 1:
-                alpha[m, :m] = scoring_vector(rule, m)
+                alpha[m, 1 : m + 1] = scoring_vector(rule, m)
+    elif isinstance(rule, TVeto):
+        cutoff = size - rule.t
     scores = np.zeros(present.shape, dtype=np.int64)
+    ones = present.astype(rank)
     for vote in votes:
-        perm = np.fromiter((index[c] for c in vote.order), dtype=np.int64)
-        pv = present[:, perm]
-        ranks = pv.cumsum(axis=1)
+        perm = np.fromiter((index[c] for c in vote.order), dtype=np.intp, count=width)
+        pv = ones[perm]
+        ranks = pv.view(np.uint64).cumsum(axis=0, dtype=np.uint64).view(rank)
         if isinstance(rule, TApproval):
             pts = pv & (ranks <= rule.t)
         elif isinstance(rule, TVeto):
-            pts = pv & (ranks <= (size - rule.t)[:, None])
+            pts = pv & (ranks <= cutoff)
         elif isinstance(rule, Borda):
-            pts = (size[:, None] - ranks) * pv
+            pts = (size - ranks) * pv
         else:  # ExplicitScoringFamily
-            pts = np.where(pv, alpha[size[:, None], ranks - 1], 0)
-        scores[:, perm] += pts
+            pts = alpha[size, ranks] * pv
+        scores[perm] += pts
     masked = np.where(present, scores, _SCORE_SENTINEL)
-    return present & (masked == masked.max(axis=1, initial=_SCORE_SENTINEL)[:, None])
+    winner = present & (masked == masked.max(axis=0, initial=_SCORE_SENTINEL))
+    return winner[:, :rows]
 
 
 def _condorcet_winners(votes, index: dict[str, int], present: np.ndarray) -> np.ndarray:
-    """winner[r, c]: c beats every other candidate present in row r.
+    """winner[c, r]: c beats every other candidate present in column r.
 
     Restricting a ballot keeps its pairwise order, so one majority matrix
-    over the full pool serves every row."""
-    width = present.shape[1]
+    over the full pool serves every column."""
+    width = len(present)
     above = np.zeros((width, width), dtype=np.int64)
     for vote in votes:
         pos = np.empty(width, dtype=np.int64)
         pos[[index[c] for c in vote.order]] = np.arange(width)
         above += pos[:, None] < pos[None, :]
     misses = (2 * above <= len(votes)) & ~np.eye(width, dtype=bool)
-    unbeaten = present.astype(np.int64) @ misses.T.astype(np.int64)
+    unbeaten = misses.astype(np.int64) @ present.astype(np.int64)
     return present & (unbeaten == 0)
 
 
@@ -212,17 +232,17 @@ def _accepts(
         win_count = np.where(placed_win, 3, 0)
     else:
         index = {c: j for j, c in enumerate(own + order)}
-        present = np.ones((len(placed), len(index)), dtype=bool)
-        present[:, len(own):] = placed
+        present = np.ones((len(index), len(placed)), dtype=bool)
+        present[len(own):] = placed.T
         if isinstance(rule, Condorcet):
             winner = _condorcet_winners(district.votes, index, present)
         elif isinstance(rule, E2):
             winner = _scoring_winners(TApproval(1), district.votes, index, present, size)
-            winner[size >= 4] = present[size >= 4]
+            winner[:, size >= 4] = present[:, size >= 4]
         else:
             winner = _scoring_winners(rule, district.votes, index, present, size)
-        placed_win = np.all(winner[:, len(own):] | ~placed, axis=1)
-        win_count = winner.sum(axis=1)
+        placed_win = (winner[len(own):] | ~present[len(own):]).all(axis=0)
+        win_count = winner.sum(axis=0)
     verdict = placed_win
     if isinstance(inst.bound, AtMost):
         verdict = verdict & (win_count <= inst.bound.limit)
@@ -476,7 +496,7 @@ def solve_fpt(
 
 
 # ---------------------------------------------------------------------------
-# Brute force
+# Brute force: a subset DP over the verdict tables
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 1 << 14
@@ -489,31 +509,265 @@ def _probe_explicit_vectors(inst: RecampaignInstance, n: int) -> None:
                 scoring_vector(inst.rule, size)
 
 
-def _half_tables(
-    k: int, first: int, count: int, prices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-district masks and costs of each placement of order[first:first+count].
+def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """placed[r, j]: order[j] is in the set masks[r] (bit n-1-j stands for order[j])."""
+    return ((masks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
 
-    Placements run in lexicographic order; masks[p, d] holds the bits of the
-    candidates that placement p sends to district d; bit n-1-j stands for
-    order[j]."""
-    idx = np.arange(k**count, dtype=np.int64)
-    digits = (idx[:, None] // k ** np.arange(count - 1, -1, -1, dtype=np.int64)) % k
-    bits = np.int64(1) << (len(prices) - 1 - np.arange(first, first + count))
-    masks = np.stack([((digits == d) * bits).sum(axis=1) for d in range(k)], axis=1)
-    costs = prices[np.arange(first, first + count), digits].sum(axis=1)
-    return masks, costs
+
+def _disjoint_pairs(left: np.ndarray, right: np.ndarray, full: int):
+    """Index pairs (i, j) with left[i] & right[j] == 0 for sorted masks
+    within `full`, a block of at most _CHUNK_ROWS tried pairs at a time.
+    A set disjoint from L is at most full - L, so a block of left masks
+    tries only the right masks up to full minus its least one."""
+    for r0 in range(0, len(right), _CHUNK_ROWS):
+        block = right[r0 : r0 + _CHUNK_ROWS]
+        l0 = 0
+        while l0 < len(left):
+            fits = block[: block.searchsorted(full - left[l0], "right")]
+            width = _CHUNK_ROWS // max(1, len(fits))
+            i, j = ((left[l0 : l0 + width, None] & fits) == 0).nonzero()
+            yield i + l0, j + r0
+            l0 += width
+
+
+class _PlacementDP:
+    """The subset DP of `solve_brute`, over the placements that extend a
+    fixed assignment of the leading candidates.
+
+    The free candidates are the low `m` bits of a mask.  `fwd[d]` maps each
+    set of free candidates that districts 1..d can take, together with
+    their fixed ones, to the least price of doing so.  `back[d]` maps a set
+    of `fwd[d]` to the least price of placing the rest in districts d+1..k.
+    `sets[d]` holds the sets district d+1 accepts.  All hold sorted masks
+    and their prices, within the budget only.  Fixing the top free
+    candidate (`fix`) keeps the forward layers below its district and the
+    backward layers from it on; the others are rebuilt on demand.
+    """
+
+    def __init__(self, inst: RecampaignInstance, order: list[str]) -> None:
+        self.inst, self.order, self.n, self.k = inst, order, len(order), inst.k
+        if inst.pricing is None:
+            self.prices = np.zeros((self.n, self.k), dtype=np.int64)
+            self.cap = 0
+        else:
+            self.prices = _price_matrix(inst, order)
+            self.cap = min(inst.pricing.budget, int(self.prices.max(axis=1).sum()))
+        self.last: np.ndarray | None = None
+        self.m = self.n
+        self.full = (1 << self.n) - 1
+        self.fixed = [0] * self.k
+        self.deepest = 0
+        # Each layer is (masks, prices, m when built): `_at` narrows it to
+        # the current free candidates when it is next used.
+        self.sets = self._tables()
+        self.fwd: list[tuple | None] = [None] * self.k
+        self.back: list[tuple | None] = [None] * (self.k + 1)
+        nothing = np.zeros(1, dtype=np.int64)
+        self.fwd[0] = nothing, nothing, self.n
+        self.back[self.k] = np.full(1, self.full, dtype=np.int64), nothing, self.n
+        self.seen: dict[int, bool] = {}
+
+    def _at(self, layers: list, d: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """layers[d] restricted to the masks whose candidates fixed since it
+        was built are exactly those of `high` (in their order), as masks of
+        the free candidates."""
+        masks, costs, bits = layers[d]
+        if bits != self.m:
+            base = (high & ((1 << (bits - self.m)) - 1)) << self.m
+            lo, hi = masks.searchsorted((base, base + (1 << self.m)))
+            masks, costs = masks[lo:hi] - base, costs[lo:hi]
+            layers[d] = masks, costs, self.m
+        return masks, costs
+
+    def _fwd(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._at(self.fwd, d, 0)
+
+    def _back(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._at(self.back, d, -1)
+
+    # -- verdict tables ----------------------------------------------------
+
+    def _tables(self) -> list[tuple]:
+        """The sets each district but the last accepts within the budget,
+        with their prices; the tables are filled a chunk of masks at a time."""
+        masks = [[] for _ in range(self.k - 1)]
+        costs = [[] for _ in range(self.k - 1)]
+        for start in range(0, 1 << self.n, _CHUNK_ROWS):
+            span = np.arange(start, min(start + _CHUNK_ROWS, 1 << self.n))
+            placed = _mask_rows(span, self.n)
+            cost = placed @ self.prices[:, :-1]
+            for d in range(self.k - 1):
+                ok = (cost[:, d] <= self.cap).nonzero()[0]
+                ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
+                masks[d].append(span[ok])
+                costs[d].append(cost[ok, d])
+        return [(np.concatenate(m), np.concatenate(c), self.n) for m, c in zip(masks, costs)]
+
+    def _sets(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sets district d (0-based, not the last) accepts that hold
+        exactly its fixed candidates."""
+        return self._at(self.sets, d, self.fixed[d])
+
+    def _last_accepts(self, whole: np.ndarray) -> np.ndarray:
+        """The last district's verdicts on distinct masks, each asked once."""
+        if self.last is None:
+            self.last = np.zeros(1 << self.n, dtype=np.int8)
+        todo = whole[self.last[whole] == 0]
+        for start in range(0, len(todo), _CHUNK_ROWS):
+            chunk = todo[start : start + _CHUNK_ROWS]
+            verdict = _accepts(self.inst, self.k - 1, self.order, _mask_rows(chunk, self.n))
+            self.last[chunk] = np.where(verdict, 2, 1)
+        return self.last[whole] == 2
+
+    # -- layers ------------------------------------------------------------
+
+    def _forward(self, c: int) -> None:
+        left, left_cost = self._fwd(c - 1)
+        sets, set_cost = self._sets(c - 1)
+        best = np.full(1 << self.m, self.cap + 1, dtype=np.int64)
+        for i, j in _disjoint_pairs(left, sets, self.full):
+            np.minimum.at(best, left[i] | sets[j], left_cost[i] + set_cost[j])
+        reach = (best <= self.cap).nonzero()[0]
+        self.fwd[c] = reach, best[reach], self.m
+
+    def _backward(self, c: int) -> None:
+        left, left_cost = self._fwd(c)
+        if c == self.k - 1:
+            whole = (self.fixed[c] << self.m) | (self.full ^ left)
+            togo = np.zeros(len(whole), dtype=np.int64)
+            for start in range(0, len(whole), _CHUNK_ROWS):
+                chunk = whole[start : start + _CHUNK_ROWS]
+                togo[start : start + _CHUNK_ROWS] = _mask_rows(chunk, self.n) @ self.prices[:, c]
+            ok = (left_cost + togo <= self.cap).nonzero()[0]
+            ok = ok[self._last_accepts(whole[ok])]
+        else:
+            after, after_cost = self._back(c + 1)
+            rest = np.full(1 << self.m, self.cap + 1, dtype=np.int64)
+            rest[after] = after_cost
+            sets, set_cost = self._sets(c)
+            togo = np.full(len(left), self.cap + 1, dtype=np.int64)
+            for i, j in _disjoint_pairs(left, sets, self.full):
+                np.minimum.at(togo, i, set_cost[j] + rest[left[i] | sets[j]])
+            ok = (left_cost + togo <= self.cap).nonzero()[0]
+        self.back[c] = left[ok], togo[ok], self.m
+
+    def _ensure_fwd(self, c: int) -> None:
+        d = c
+        while self.fwd[d] is None:
+            d -= 1
+        for d in range(d + 1, c + 1):
+            self._forward(d)
+
+    def _ensure_back(self, c: int) -> None:
+        d = c
+        while self.back[d] is None:
+            d += 1
+        for d in range(d - 1, c - 1, -1):
+            self._ensure_fwd(d)
+            self._backward(d)
+
+    # -- decision and witness ----------------------------------------------
+
+    def decide(self) -> int | None:
+        """The last forward layer built if some placement is valid, else None.
+
+        The forward pass stops at the first layer that covers every
+        candidate; otherwise the last district is asked only about the
+        complements of the sets districts 1..k-1 can take."""
+        e = 0
+        while e < self.k - 1 and self.fwd[e][0][-1] != self.full:
+            e += 1
+            self._forward(e)
+        if self.fwd[e][0][-1] == self.full:
+            return e
+        self._backward(self.k - 1)
+        return e if len(self.back[self.k - 1][0]) else None
+
+    def _covers_top(self, c: int) -> bool:
+        """Some valid completion places the top free candidate in districts 1..c."""
+        if c == self.k:
+            return True
+        if c not in self.seen:
+            top = 1 << (self.m - 1)
+            sets = self._sets(c - 1)[0]
+            if not (len(sets) and sets[-1] >= top):
+                # district c cannot take it, so the answer is that of c - 1
+                self.seen[c] = c > 1 and self._covers_top(c - 1)
+            else:
+                self.seen[c] = self._layers_cover_top(c, top)
+        return self.seen[c]
+
+    def _layers_cover_top(self, c: int, top: int) -> bool:
+        """`_covers_top` for a district c < k that can take the candidate."""
+        if self.back[c] is not None:
+            done = self._back(c)[0]
+            if not (len(done) and done[-1] >= top):
+                return False
+        self._ensure_fwd(c)
+        reach, reach_cost = self._fwd(c)
+        if reach[-1] < top:
+            return False
+        if reach[-1] == self.full and c >= self.deepest:
+            return True  # the later districts keep nothing, which they accept
+        self._ensure_back(c)
+        done, done_cost = self._back(c)
+        cut = done.searchsorted(top)
+        done, done_cost = done[cut:], done_cost[cut:]
+        pos = np.minimum(reach.searchsorted(done), len(reach) - 1)
+        return bool(((reach[pos] == done) & (reach_cost[pos] + done_cost <= self.cap)).any())
+
+    def digit(self, start: int) -> int:
+        """The least district of the top free candidate in a valid completion.
+
+        `_covers_top` is monotone in c, so walk from `start` (the previous
+        candidate's district, whose layers are still at hand)."""
+        c = start
+        if self._covers_top(c):
+            while c > 1 and self._covers_top(c - 1):
+                c -= 1
+        else:
+            c += 1
+            while not self._covers_top(c):
+                c += 1
+        return c
+
+    def fix(self, c: int) -> None:
+        """Place the top free candidate in district c (1-based).
+
+        Layer c of the forward pass keeps its sets that hold the candidate.
+        Beside the sets that place it in district c, they hold only sets
+        that place it in an earlier district, and those have no valid
+        completion within the budget, since c is the least district that
+        has one."""
+        top = 1 << (self.m - 1)
+        if c < self.k and self.fwd[c] is not None:
+            masks, costs = self._fwd(c)
+            cut = masks.searchsorted(top)
+            self.fwd[c] = masks[cut:] - top, costs[cut:], self.m - 1
+        self.fwd[c + 1 :] = [None] * (self.k - c - 1)
+        self.back[:c] = [None] * c
+        self.fixed = [2 * f + (d == c - 1) for d, f in enumerate(self.fixed)]
+        self.deepest = max(self.deepest, c)
+        self.seen = {}
+        self.m -= 1
+        self.full >>= 1
 
 
 def solve_brute(
     inst: RecampaignInstance, node_budget: int | None = None
 ) -> SolveResult:
-    """Scan every placement of A into the districts, first witness wins.
+    """Decide any variant exactly by a subset DP over the verdict tables.
 
-    Placements are enumerated lexicographically in (sorted candidate,
-    district index) order, so the returned witness is reproducible.  The
-    scan is refused up front (resource error) when k^|A| exceeds the node
-    budget.
+    District i's table holds the sets of additional candidates it accepts.
+    A DP over (district, covered set) decides the instance: reachability
+    when unpriced, the least price within the budget when priced (the
+    partition-into-accepted-blocks DP of Björklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007).  The witness is the lexicographically first valid
+    placement in (sorted candidate, district index) order, rebuilt from the
+    DP layers one candidate at a time; `nodes` is its 1-based index among
+    the k^|A| placements (k^|A| on No).  The DP is refused up front
+    (resource error) when k^|A| exceeds the node budget, as the placement
+    scan it replaces was, so exit codes do not change.
     """
     budget = _resolve_budget(node_budget)
     order = sorted(inst.additional)
@@ -525,63 +779,29 @@ def solve_brute(
             f"{k}^{n} = {total} placements exceed the node budget {budget}"
         )
     _probe_explicit_vectors(inst, n)
-    if n == 0:
-        return _accept(inst, {}, "brute", {"nodes": 1, "placements": 1}, 0 if inst.pricing else None)
     if k == 1:
-        placement = {a: 1 for a in order}
-        asg = Assignment(placement)
+        # The one placement; k^|A| = 1 does not bound |A|, so build no table.
+        asg = Assignment({a: 1 for a in order})
         report = verify(inst, asg)
         stats = {"nodes": 1, "placements": 1}
         if report.valid:
             return SolveResult(True, asg, "brute", stats, report.total_cost)
         return _reject("brute", stats)
-
-    # Each district's verdict table is filled a chunk of masks at a time, on
-    # first use.  The leading candidates take the high bits, so a block of
-    # consecutive placements touches few chunks: an early witness does not
-    # pay for the whole table.
-    tables = np.zeros((k, 1 << n), dtype=bool)
-    filled = np.zeros((k, max(1, (1 << n) // _CHUNK_ROWS)), dtype=bool)
-    bit_of = np.arange(n - 1, -1, -1)
-
-    def accepted(d: int, masks: np.ndarray) -> np.ndarray:
-        if not filled[d].all():
-            for c in np.unique(masks // _CHUNK_ROWS).tolist():
-                if not filled[d, c]:
-                    span = np.arange(c * _CHUNK_ROWS, min((c + 1) * _CHUNK_ROWS, 1 << n))
-                    placed = ((span[:, None] >> bit_of) & 1).astype(bool)
-                    tables[d, span] = _accepts(inst, d, order, placed)
-                    filled[d, c] = True
-        return tables[d, masks]
-
-    # A placement is a digit string over the sorted candidates; split it into
-    # a high and a low half.  Row-major order over (high, low) is the
-    # lexicographic order, so the first survivor is the first witness.
-    priced = inst.pricing is not None
-    prices = _price_matrix(inst, order) if priced else np.zeros((n, k), dtype=np.int64)
-    split = n // 2
-    hi_masks, hi_costs = _half_tables(k, 0, split, prices)
-    lo_masks, lo_costs = _half_tables(k, split, n - split, prices)
-    n_lo = len(lo_costs)
-    block = max(1, _CHUNK_ROWS // n_lo)
-    for h0 in range(0, len(hi_costs), block):
-        width = min(block, len(hi_costs) - h0)
-        hi = np.repeat(np.arange(h0, h0 + width, dtype=np.int64), n_lo)
-        lo = np.tile(np.arange(n_lo, dtype=np.int64), width)
-        if priced:
-            fits = hi_costs[hi] + lo_costs[lo] <= inst.pricing.budget
-            hi, lo = hi[fits], lo[fits]
-        for d in range(k):
-            keep = accepted(d, hi_masks[hi, d] | lo_masks[lo, d])
-            hi, lo = hi[keep], lo[keep]
-        if hi.size:
-            h, l = int(hi[0]), int(lo[0])
-            index = h * n_lo + l
-            placement = {order[j]: index // k ** (n - 1 - j) % k + 1 for j in range(n)}
-            stats = {"nodes": index + 1, "placements": total}
-            cost_val = int(hi_costs[h] + lo_costs[l]) if priced else None
-            return _accept(inst, placement, "brute", stats, cost_val)
-    return _reject("brute", {"nodes": total, "placements": total})
+    dp = _PlacementDP(inst, order)
+    c = dp.decide()
+    if c is None:
+        return _reject("brute", {"nodes": total, "placements": total})
+    digits = []
+    for _ in range(n):
+        c = dp.digit(c)
+        digits.append(c)
+        dp.fix(c)
+    index = sum((c - 1) * k ** (n - 1 - j) for j, c in enumerate(digits))
+    stats = {"nodes": index + 1, "placements": total}
+    cost = None
+    if inst.pricing is not None:
+        cost = int(sum(dp.prices[j, c - 1] for j, c in enumerate(digits)))
+    return _accept(inst, dict(zip(order, digits)), "brute", stats, cost)
 
 
 # ---------------------------------------------------------------------------

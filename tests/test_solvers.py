@@ -5,6 +5,7 @@ dispatcher."""
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,13 @@ class TestSolveBrute:
         assert result.answer
         assert result.statistics["placements"] == 1
 
+    def test_one_district_needs_no_table(self):
+        # k^n = 1 within any budget, however many candidates arrive.
+        arrivals = frozenset(f"a{j}" for j in range(40))
+        inst = RecampaignInstance(TrivialScoring(), (District([]),), arrivals, UNBOUNDED)
+        result = checked(inst, solve_brute(inst))
+        assert result.statistics == {"nodes": 1, "placements": 1}
+
     def test_single_placement_failure(self):
         e = Election(["a", "b"], [LinearVote(["b", "a"]), LinearVote(["b", "a"])])
         from recamp import from_winner_problem
@@ -446,6 +454,38 @@ class TestSolveBrute:
         with pytest.raises(ResourceBudgetError):
             solve_brute(inst, node_budget=100)
 
+    @staticmethod
+    def _dense(priced):
+        """Three empty districts under the trivial rule: every set is
+        accepted everywhere, so the DP layers are as full as they get."""
+        additional = frozenset(f"a{j:02d}" for j in range(12))
+        pricing = None
+        if priced:
+            prices = {(i, a): 1 for i in range(1, 4) for a in additional}
+            pricing = Pricing(prices, len(additional) - 1)
+        districts = tuple(District([]) for _ in range(3))
+        return RecampaignInstance(TrivialScoring(), districts, additional, UNBOUNDED, pricing)
+
+    def test_dense_priced_no_stays_within_memory(self):
+        # Every placement costs 12 against a budget of 11; the DP expands
+        # about 3^12 disjoint pairs, a block at a time.
+        inst = self._dense(priced=True)
+        tracemalloc.start()
+        try:
+            result = solve_brute(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.answer
+        assert result.statistics == {"nodes": 3**12, "placements": 3**12}
+        assert peak < 16 * 2**20
+
+    def test_dense_yes_takes_the_first_placement(self):
+        inst = self._dense(priced=False)
+        result = checked(inst, solve_brute(inst))
+        assert result.statistics["nodes"] == 1
+        assert set(result.assignment.placement.values()) == {1}
+
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=150, deadline=None)
     def test_matches_placement_scan(self, seed):
@@ -466,12 +506,13 @@ class TestSolveBrute:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=100, deadline=None)
     def test_small_chunks_find_the_first_witness(self, seed):
-        """Many table chunks and scan blocks: the lexicographically first
+        """Many table chunks and pair blocks: the lexicographically first
         valid placement is still the witness, at its 1-based index."""
         rng = random.Random(seed)
+        k = rng.randint(2, 4)
         params = RandomInstanceParams(
-            districts=rng.randint(2, 3),
-            additional=rng.randint(3, 5),
+            districts=k,
+            additional=rng.randint(3, 4 if k == 4 else 5),
             rule=_random_rule(rng, 8),
             max_votes=rng.randint(0, 3),
             bound=rng.choice([AtMost(2), AtMost(3), UNBOUNDED]),
