@@ -511,7 +511,7 @@ def _probe_explicit_vectors(inst: RecampaignInstance, n: int) -> None:
 
 def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
     """placed[r, j]: order[j] is in the set masks[r] (bit n-1-j stands for order[j])."""
-    return ((masks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    return (masks[:, None] & (1 << np.arange(n - 1, -1, -1, dtype=masks.dtype))) != 0
 
 
 def _disjoint_pairs(left: np.ndarray, right: np.ndarray, full: int):
@@ -542,6 +542,10 @@ class _PlacementDP:
     and their prices, within the budget only.  Fixing the top free
     candidate (`fix`) keeps the forward layers below its district and the
     backward layers from it on; the others are rebuilt on demand.
+
+    Masks are int32 up to 30 candidates.  Prices take the narrowest
+    unsigned type that holds 2·cap + 1, one byte when unpriced: a stored
+    price is at most cap + 1 ("over budget"), so adding two never wraps.
     """
 
     def __init__(self, inst: RecampaignInstance, order: list[str]) -> None:
@@ -552,6 +556,8 @@ class _PlacementDP:
         else:
             self.prices = _price_matrix(inst, order)
             self.cap = min(inst.pricing.budget, int(self.prices.max(axis=1).sum()))
+        self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
+        self.price = np.min_scalar_type(2 * self.cap + 1)
         self.last: np.ndarray | None = None
         self.m = self.n
         self.full = (1 << self.n) - 1
@@ -562,9 +568,9 @@ class _PlacementDP:
         self.sets = self._tables()
         self.fwd: list[tuple | None] = [None] * self.k
         self.back: list[tuple | None] = [None] * (self.k + 1)
-        nothing = np.zeros(1, dtype=np.int64)
-        self.fwd[0] = nothing, nothing, self.n
-        self.back[self.k] = np.full(1, self.full, dtype=np.int64), nothing, self.n
+        free = np.zeros(1, dtype=self.price)
+        self.fwd[0] = np.zeros(1, dtype=self.word), free, self.n
+        self.back[self.k] = np.full(1, self.full, dtype=self.word), free, self.n
         self.seen: dict[int, bool] = {}
 
     def _at(self, layers: list, d: int, high: int) -> tuple[np.ndarray, np.ndarray]:
@@ -574,10 +580,15 @@ class _PlacementDP:
         masks, costs, bits = layers[d]
         if bits != self.m:
             base = (high & ((1 << (bits - self.m)) - 1)) << self.m
-            lo, hi = masks.searchsorted((base, base + (1 << self.m)))
+            lo, hi = masks.searchsorted(self._mask(base, base + (1 << self.m)))
             masks, costs = masks[lo:hi] - base, costs[lo:hi]
             layers[d] = masks, costs, self.m
         return masks, costs
+
+    def _mask(self, *values: int) -> np.ndarray:
+        """Masks as an array of the layers' type: a Python int would make
+        searchsorted copy the whole layer to int64."""
+        return np.array(values, dtype=self.word)
 
     def _fwd(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         return self._at(self.fwd, d, 0)
@@ -593,14 +604,14 @@ class _PlacementDP:
         masks = [[] for _ in range(self.k - 1)]
         costs = [[] for _ in range(self.k - 1)]
         for start in range(0, 1 << self.n, _CHUNK_ROWS):
-            span = np.arange(start, min(start + _CHUNK_ROWS, 1 << self.n))
+            span = np.arange(start, min(start + _CHUNK_ROWS, 1 << self.n), dtype=self.word)
             placed = _mask_rows(span, self.n)
             cost = placed @ self.prices[:, :-1]
             for d in range(self.k - 1):
                 ok = (cost[:, d] <= self.cap).nonzero()[0]
                 ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
                 masks[d].append(span[ok])
-                costs[d].append(cost[ok, d])
+                costs[d].append(cost[ok, d].astype(self.price))
         return [(np.concatenate(m), np.concatenate(c), self.n) for m, c in zip(masks, costs)]
 
     def _sets(self, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -622,30 +633,34 @@ class _PlacementDP:
     # -- layers ------------------------------------------------------------
 
     def _forward(self, c: int) -> None:
+        if c == 1:
+            # from the empty set, district 1 reaches just the sets it accepts
+            self.fwd[1] = *self._sets(0), self.m
+            return
         left, left_cost = self._fwd(c - 1)
         sets, set_cost = self._sets(c - 1)
-        best = np.full(1 << self.m, self.cap + 1, dtype=np.int64)
+        best = np.full(1 << self.m, self.cap + 1, dtype=self.price)
         for i, j in _disjoint_pairs(left, sets, self.full):
             np.minimum.at(best, left[i] | sets[j], left_cost[i] + set_cost[j])
-        reach = (best <= self.cap).nonzero()[0]
+        reach = (best <= self.cap).nonzero()[0].astype(self.word)
         self.fwd[c] = reach, best[reach], self.m
 
     def _backward(self, c: int) -> None:
         left, left_cost = self._fwd(c)
         if c == self.k - 1:
             whole = (self.fixed[c] << self.m) | (self.full ^ left)
-            togo = np.zeros(len(whole), dtype=np.int64)
+            togo = np.empty(len(whole), dtype=self.price)
             for start in range(0, len(whole), _CHUNK_ROWS):
-                chunk = whole[start : start + _CHUNK_ROWS]
-                togo[start : start + _CHUNK_ROWS] = _mask_rows(chunk, self.n) @ self.prices[:, c]
+                chunk = _mask_rows(whole[start : start + _CHUNK_ROWS], self.n) @ self.prices[:, c]
+                togo[start : start + _CHUNK_ROWS] = np.minimum(chunk, self.cap + 1)
             ok = (left_cost + togo <= self.cap).nonzero()[0]
             ok = ok[self._last_accepts(whole[ok])]
         else:
             after, after_cost = self._back(c + 1)
-            rest = np.full(1 << self.m, self.cap + 1, dtype=np.int64)
+            rest = np.full(1 << self.m, self.cap + 1, dtype=self.price)
             rest[after] = after_cost
             sets, set_cost = self._sets(c)
-            togo = np.full(len(left), self.cap + 1, dtype=np.int64)
+            togo = np.full(len(left), self.cap + 1, dtype=self.price)
             for i, j in _disjoint_pairs(left, sets, self.full):
                 np.minimum.at(togo, i, set_cost[j] + rest[left[i] | sets[j]])
             ok = (left_cost + togo <= self.cap).nonzero()[0]
@@ -687,15 +702,22 @@ class _PlacementDP:
         """Some valid completion places the top free candidate in districts 1..c."""
         if c == self.k:
             return True
-        if c not in self.seen:
-            top = 1 << (self.m - 1)
+        top = 1 << (self.m - 1)
+        # A district that cannot take the candidate has the answer of the
+        # one before it: walk down to one that can (a loop, since k may be
+        # far beyond the recursion limit when n is small).
+        passed = []
+        while c > 0 and c not in self.seen:
             sets = self._sets(c - 1)[0]
-            if not (len(sets) and sets[-1] >= top):
-                # district c cannot take it, so the answer is that of c - 1
-                self.seen[c] = c > 1 and self._covers_top(c - 1)
-            else:
+            if len(sets) and sets[-1] >= top:
                 self.seen[c] = self._layers_cover_top(c, top)
-        return self.seen[c]
+                break
+            passed.append(c)
+            c -= 1
+        answer = c > 0 and self.seen[c]
+        for d in passed:
+            self.seen[d] = answer
+        return answer
 
     def _layers_cover_top(self, c: int, top: int) -> bool:
         """`_covers_top` for a district c < k that can take the candidate."""
@@ -711,7 +733,7 @@ class _PlacementDP:
             return True  # the later districts keep nothing, which they accept
         self._ensure_back(c)
         done, done_cost = self._back(c)
-        cut = done.searchsorted(top)
+        cut = done.searchsorted(self._mask(top))[0]
         done, done_cost = done[cut:], done_cost[cut:]
         pos = np.minimum(reach.searchsorted(done), len(reach) - 1)
         return bool(((reach[pos] == done) & (reach_cost[pos] + done_cost <= self.cap)).any())
@@ -742,7 +764,7 @@ class _PlacementDP:
         top = 1 << (self.m - 1)
         if c < self.k and self.fwd[c] is not None:
             masks, costs = self._fwd(c)
-            cut = masks.searchsorted(top)
+            cut = masks.searchsorted(self._mask(top))[0]
             self.fwd[c] = masks[cut:] - top, costs[cut:], self.m - 1
         self.fwd[c + 1 :] = [None] * (self.k - c - 1)
         self.back[:c] = [None] * c

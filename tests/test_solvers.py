@@ -454,6 +454,18 @@ class TestSolveBrute:
         with pytest.raises(ResourceBudgetError):
             solve_brute(inst, node_budget=100)
 
+    def test_many_districts_only_the_last_accepts(self):
+        # k = 1200 and n = 2 is within the budget; the witness walk passes
+        # every district both upwards (for a) and downwards (for b).
+        k = 1200
+        loser = District(["x"], [LinearVote(["x", "a", "b"])])
+        inst = RecampaignInstance(
+            TApproval(1), (loser,) * (k - 1) + (District([]),), frozenset("ab"), UNBOUNDED
+        )
+        result = checked(inst, solve_brute(inst))
+        assert result.assignment.placement == {"a": k, "b": k}
+        assert result.statistics == {"nodes": k**2, "placements": k**2}
+
     @staticmethod
     def _dense(priced):
         """Three empty districts under the trivial rule: every set is
