@@ -7,9 +7,12 @@ three times: through `solve_auto`, through `solve_brute` (the subset DP,
 which is also the route `solve_auto` takes for the unbounded variants
 without a polynomial method), and with `placement_scan` from
 `tests/oracles.py`, which checks every placement with `verify` and shares
-no code with the solvers' district oracle.  Reports per-rule agreement,
-yes-rates, and which routes fired.  Exits nonzero if any answer disagrees,
-so the script doubles as a soak test.
+no code with the solvers' district oracle.  Every YES must report the
+cost `verify` computes for its witness, and on the matching routes
+(`crc1-matching`, `b-matching`) that cost must be the scan's minimum.
+Reports per-rule agreement, yes-rates, and which routes fired.  Exits
+nonzero if any answer or cost disagrees, so the script doubles as a soak
+test.
 
     python3 scripts/cross_validate.py --trials 400 --seed 7
 """
@@ -32,6 +35,7 @@ from recamp import (
     TVeto,
     TrivialScoring,
     random_instance,
+    verify,
     solve_auto,
     solve_brute,
 )
@@ -52,6 +56,22 @@ RULES = {
 }
 
 BOUNDS = [AtMost(1), AtMost(2), AtMost(3), UNBOUNDED]
+
+MINIMUM_COST_ROUTES = {"crc1-matching", "b-matching"}
+
+
+def cost_errors(inst, result, best_cost) -> list[str]:
+    """How a YES's reported cost departs from its witness's `verify` cost
+    and, on the matching routes, from the scan's minimum."""
+    if not result.answer:
+        return []
+    errors = []
+    paid = verify(inst, result.assignment).total_cost
+    if result.cost != paid:
+        errors.append(f"{result.algorithm} reports cost {result.cost}, witness costs {paid}")
+    if result.algorithm in MINIMUM_COST_ROUTES and result.cost != best_cost:
+        errors.append(f"{result.algorithm} reports cost {result.cost}, minimum is {best_cost}")
+    return errors
 
 
 def run(args: argparse.Namespace) -> int:
@@ -79,16 +99,18 @@ def run(args: argparse.Namespace) -> int:
             t1 = time.perf_counter()
             slow = solve_brute(inst, node_budget=args.node_budget)
             t2 = time.perf_counter()
-            scan = placement_scan(inst)[0]
+            scan, best_cost = placement_scan(inst)
             auto_time += t1 - t0
             brute_time += t2 - t1
             routes[fast.algorithm] += 1
             yes += fast.answer
+            errors = cost_errors(inst, fast, best_cost) + cost_errors(inst, slow, best_cost)
             if not fast.answer == slow.answer == scan:
+                errors.append(f"auto={fast.answer} brute={slow.answer} scan={scan}")
+            if errors:
                 disagree += 1
                 failures += 1
-                print(f"  DISAGREEMENT under {name}: auto={fast.answer} "
-                      f"brute={slow.answer} scan={scan} "
+                print(f"  DISAGREEMENT under {name}: {'; '.join(errors)} "
                       f"seed={args.seed * 100_000 + trial}",
                       file=sys.stderr)
         route_note = " ".join(f"{r}:{c}" for r, c in sorted(routes.items()))
@@ -98,7 +120,7 @@ def run(args: argparse.Namespace) -> int:
     if failures:
         print(f"\n{failures} disagreement(s) found", file=sys.stderr)
         return 1
-    print("\nall answers agree with the subset DP and the placement scan")
+    print("\nall answers and costs agree with the subset DP and the placement scan")
     return 0
 
 

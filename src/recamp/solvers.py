@@ -8,8 +8,8 @@ Entry points (all return a `SolveResult`):
                           exact-cover search over per-district winning sets.
 - `solve_brute`           any variant: a subset DP over (district, covered
                           set) on the verdict tables, the reference for the
-                          rest; its witness is the lexicographically first
-                          valid placement.
+                          rest; its witness is read back from the DP's
+                          forward layers, and `nodes` is k^|A|.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
 - `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
 - `solve_auto`            dispatches to the cheapest applicable method.
@@ -18,9 +18,12 @@ crc1 (singletons), the cover build (sets of size ≤ ℓ) and brute (every
 subset for districts 1..k-1, the complements of the sets they can take for
 district k) ask one batched question, `_accepts`: which sets S ⊆ A does
 district i accept, electing all of S within the bound?  `verify` stays on
-the object path as the independent referee for every YES.  fpt and brute
-honour the node budget; brute still refuses when k^|A| exceeds it, as the
-placement scan it replaced did, so exit codes do not change.
+the object path as the independent referee for every YES, and every
+reported cost is the one `verify` computes, in Python ints.  Prices enter
+int64 clipped to budget + 1, since a price above the budget is never paid.
+fpt and brute honour the node budget; brute still refuses when k^|A|
+exceeds it, as the placement scan it replaced did, so exit codes do not
+change.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -82,6 +85,7 @@ __all__ = [
 ]
 
 _DEFAULT_NODE_BUDGET = 10_000_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def default_node_budget() -> int:
@@ -119,25 +123,47 @@ def _accept(
     placement: dict[str, int],
     algorithm: str,
     statistics: dict[str, int],
-    cost: int | None,
 ) -> SolveResult:
+    """A YES whose witness `verify` accepts, at the cost `verify` computes."""
     asg = Assignment(placement)
     report = verify(inst, asg)
     if not report.valid:
         raise AssertionError(
             f"solver {algorithm} produced an invalid witness: {report.violations}"
         )
-    return SolveResult(True, asg, algorithm, statistics, cost)
+    return SolveResult(True, asg, algorithm, statistics, report.total_cost)
 
 
 def _reject(algorithm: str, statistics: dict[str, int]) -> SolveResult:
     return SolveResult(False, None, algorithm, statistics, None)
 
 
-def _price_matrix(inst: RecampaignInstance, order: list[str]) -> np.ndarray:
-    """prices[j, d] = the price of placing order[j] in district d (0-based)."""
+def _budget_binds(inst: RecampaignInstance) -> bool:
+    """Some placement costs more than the budget; if none does, the prices
+    cannot change the answer and the instance is decided as unpriced."""
+    pricing = inst.pricing
+    if pricing is None:
+        return False
+    districts = range(1, inst.k + 1)
+    dearest = (max(pricing.price(i, a) for i in districts) for a in inst.additional)
+    return sum(dearest) > pricing.budget
+
+
+def _price_matrix(inst: RecampaignInstance, order: list[str], terms: int) -> np.ndarray:
+    """prices[j, d] = the price of placing order[j] in district d (0-based),
+    clipped to budget + 1: a price above the budget is never paid.
+
+    Sums of up to `terms` clipped prices must fit int64; a budget too large
+    for that is refused rather than wrapped."""
+    budget = inst.pricing.budget
+    if terms * (budget + 1) > _INT64_MAX:
+        raise PreconditionError(
+            f"budget {budget} is too large for sums of {terms} prices in int64: "
+            f"{terms} * (budget + 1) must be at most 2^63 - 1"
+        )
+    districts = range(1, inst.k + 1)
     return np.array(
-        [[inst.pricing.price(i, a) for i in range(1, inst.k + 1)] for a in order],
+        [[min(inst.pricing.price(i, a), budget + 1) for i in districts] for a in order],
         dtype=np.int64,
     ).reshape(len(order), inst.k)
 
@@ -291,8 +317,7 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
         e.left.removeprefix("cand:"): int(e.right.removeprefix("dist:"))
         for e, used in result.chosen
     }
-    cost = result.weight if inst.pricing is not None else None
-    return _accept(inst, placement, "crc1-matching", stats, cost)
+    return _accept(inst, placement, "crc1-matching", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +376,7 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
     for e, used in result.chosen:
         if e.left.startswith("cand:"):
             placement[e.left.removeprefix("cand:")] = int(e.right.removeprefix("dist:"))
-    cost = result.weight if inst.pricing is not None else None
-    return _accept(inst, placement, "b-matching", stats, cost)
+    return _accept(inst, placement, "b-matching", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +418,9 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
     members could never join a within-budget cover).  The empty set is
     admissible everywhere.  The instance decides Yes iff some selection of
     one member per district has pairwise-disjoint placed sets covering A
-    with total weight within budget.
+    with total weight within budget.  The weights are summed in int64, so a
+    budget with min(ℓ, |A|)·(budget + 1) ≥ 2⁶³ is refused (precondition
+    error).
     """
     if not isinstance(inst.bound, AtMost):
         raise WrongVariantError("the cover system is defined for bounded instances")
@@ -411,7 +437,7 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
     for r, combo in enumerate(combos):
         rows[r, combo] = True
     placed = [frozenset(order[j] for j in combo) for combo in combos]
-    weights = rows.astype(np.int64) @ _price_matrix(inst, order)
+    weights = rows.astype(np.int64) @ _price_matrix(inst, order, min(level, n))
     members = []
     for d in range(inst.k):
         members.append(CoverMember(d + 1, frozenset(), 0))
@@ -432,11 +458,12 @@ def solve_fpt(
 
     More than k·ℓ additional candidates can never all win (each touched
     district holds at most ℓ of them), so such instances are rejected
-    outright.  Otherwise unpriced instances are lifted to unit prices and the
-    cover system is searched district by district.  The build is refused up
-    front (resource error) when its k·Σ_{s≤ℓ} C(|A|, s) candidate members
-    exceed the node budget, and the search stops with the same error once it
-    visits more members than the budget.
+    outright.  Otherwise unpriced instances, and priced ones whose budget
+    no placement exceeds, are lifted to unit prices, and the cover system is
+    searched district by district.  The build is refused up front (resource
+    error) when its k·Σ_{s≤ℓ} C(|A|, s) candidate members exceed the node
+    budget, and the search stops with the same error once it visits more
+    members than the budget.
     """
     if not isinstance(inst.bound, AtMost):
         raise WrongVariantError("solve_fpt decides only bounded variants")
@@ -452,7 +479,9 @@ def solve_fpt(
             f"{candidates} cover members to check exceed the node budget {budget_nodes}"
         )
 
-    work = inst if inst.pricing is not None else lift_to_priced(inst)
+    work = inst
+    if not _budget_binds(inst):
+        work = lift_to_priced(inst if inst.pricing is None else replace(inst, pricing=None))
     system = build_exact_cover_system(work)
     by_district: list[list[CoverMember]] = [[] for _ in range(inst.k)]
     for member in system.members:
@@ -491,8 +520,7 @@ def solve_fpt(
     if chosen is None:
         return _reject("fpt", stats)
     placement = {a: m.district for m in chosen for a in m.placed}
-    cost = sum(m.weight for m in chosen) if inst.pricing is not None else None
-    return _accept(inst, placement, "fpt", stats, cost)
+    return _accept(inst, placement, "fpt", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +559,13 @@ def _disjoint_pairs(left: np.ndarray, right: np.ndarray, full: int):
 
 
 class _PlacementDP:
-    """The subset DP of `solve_brute`, over the placements that extend a
-    fixed assignment of the leading candidates.
+    """The subset DP of `solve_brute` and the read-back of its witness.
 
-    The free candidates are the low `m` bits of a mask.  `fwd[d]` maps each
-    set of free candidates that districts 1..d can take, together with
-    their fixed ones, to the least price of doing so.  `back[d]` maps a set
-    of `fwd[d]` to the least price of placing the rest in districts d+1..k.
-    `sets[d]` holds the sets district d+1 accepts.  All hold sorted masks
-    and their prices, within the budget only.  Fixing the top free
-    candidate (`fix`) keeps the forward layers below its district and the
-    backward layers from it on; the others are rebuilt on demand.
+    Bit n-1-j of a mask stands for order[j].  `sets[d]` holds the sets
+    district d+1 accepts, and `fwd[d]` each set that districts 1..d can
+    take together, both as sorted masks with the least price of each,
+    within the budget only.  The last district has no table: it is asked
+    only about the complements of the sets of `fwd[k-1]`.
 
     Masks are int32 up to 30 candidates.  Prices take the narrowest
     unsigned type that holds 2·cap + 1, one byte when unpriced: a stored
@@ -550,57 +574,23 @@ class _PlacementDP:
 
     def __init__(self, inst: RecampaignInstance, order: list[str]) -> None:
         self.inst, self.order, self.n, self.k = inst, order, len(order), inst.k
-        if inst.pricing is None:
+        if _budget_binds(inst):
+            self.prices = _price_matrix(inst, order, self.n)
+            self.cap = inst.pricing.budget
+        else:
             self.prices = np.zeros((self.n, self.k), dtype=np.int64)
             self.cap = 0
-        else:
-            self.prices = _price_matrix(inst, order)
-            self.cap = min(inst.pricing.budget, int(self.prices.max(axis=1).sum()))
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
         self.price = np.min_scalar_type(2 * self.cap + 1)
-        self.last: np.ndarray | None = None
-        self.m = self.n
         self.full = (1 << self.n) - 1
-        self.fixed = [0] * self.k
-        self.deepest = 0
-        # Each layer is (masks, prices, m when built): `_at` narrows it to
-        # the current free candidates when it is next used.
         self.sets = self._tables()
-        self.fwd: list[tuple | None] = [None] * self.k
-        self.back: list[tuple | None] = [None] * (self.k + 1)
-        free = np.zeros(1, dtype=self.price)
-        self.fwd[0] = np.zeros(1, dtype=self.word), free, self.n
-        self.back[self.k] = np.full(1, self.full, dtype=self.word), free, self.n
-        self.seen: dict[int, bool] = {}
+        self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
-    def _at(self, layers: list, d: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """layers[d] restricted to the masks whose candidates fixed since it
-        was built are exactly those of `high` (in their order), as masks of
-        the free candidates."""
-        masks, costs, bits = layers[d]
-        if bits != self.m:
-            base = (high & ((1 << (bits - self.m)) - 1)) << self.m
-            lo, hi = masks.searchsorted(self._mask(base, base + (1 << self.m)))
-            masks, costs = masks[lo:hi] - base, costs[lo:hi]
-            layers[d] = masks, costs, self.m
-        return masks, costs
-
-    def _mask(self, *values: int) -> np.ndarray:
-        """Masks as an array of the layers' type: a Python int would make
-        searchsorted copy the whole layer to int64."""
-        return np.array(values, dtype=self.word)
-
-    def _fwd(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._at(self.fwd, d, 0)
-
-    def _back(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._at(self.back, d, -1)
-
-    # -- verdict tables ----------------------------------------------------
-
-    def _tables(self) -> list[tuple]:
+    def _tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The sets each district but the last accepts within the budget,
         with their prices; the tables are filled a chunk of masks at a time."""
+        if self.k == 1:
+            return []  # k^|A| = 1 does not bound |A|, so build no table
         masks = [[] for _ in range(self.k - 1)]
         costs = [[] for _ in range(self.k - 1)]
         for start in range(0, 1 << self.n, _CHUNK_ROWS):
@@ -612,167 +602,87 @@ class _PlacementDP:
                 ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
                 masks[d].append(span[ok])
                 costs[d].append(cost[ok, d].astype(self.price))
-        return [(np.concatenate(m), np.concatenate(c), self.n) for m, c in zip(masks, costs)]
-
-    def _sets(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sets district d (0-based, not the last) accepts that hold
-        exactly its fixed candidates."""
-        return self._at(self.sets, d, self.fixed[d])
-
-    def _last_accepts(self, whole: np.ndarray) -> np.ndarray:
-        """The last district's verdicts on distinct masks, each asked once."""
-        if self.last is None:
-            self.last = np.zeros(1 << self.n, dtype=np.int8)
-        todo = whole[self.last[whole] == 0]
-        for start in range(0, len(todo), _CHUNK_ROWS):
-            chunk = todo[start : start + _CHUNK_ROWS]
-            verdict = _accepts(self.inst, self.k - 1, self.order, _mask_rows(chunk, self.n))
-            self.last[chunk] = np.where(verdict, 2, 1)
-        return self.last[whole] == 2
-
-    # -- layers ------------------------------------------------------------
+        return [(np.concatenate(m), np.concatenate(c)) for m, c in zip(masks, costs)]
 
     def _forward(self, c: int) -> None:
         if c == 1:
             # from the empty set, district 1 reaches just the sets it accepts
-            self.fwd[1] = *self._sets(0), self.m
+            self.fwd.append(self.sets[0])
             return
-        left, left_cost = self._fwd(c - 1)
-        sets, set_cost = self._sets(c - 1)
-        best = np.full(1 << self.m, self.cap + 1, dtype=self.price)
+        left, left_cost = self.fwd[c - 1]
+        sets, set_cost = self.sets[c - 1]
+        best = np.full(1 << self.n, self.cap + 1, dtype=self.price)
         for i, j in _disjoint_pairs(left, sets, self.full):
             np.minimum.at(best, left[i] | sets[j], left_cost[i] + set_cost[j])
         reach = (best <= self.cap).nonzero()[0].astype(self.word)
-        self.fwd[c] = reach, best[reach], self.m
+        self.fwd.append((reach, best[reach]))
 
-    def _backward(self, c: int) -> None:
-        left, left_cost = self._fwd(c)
-        if c == self.k - 1:
-            whole = (self.fixed[c] << self.m) | (self.full ^ left)
-            togo = np.empty(len(whole), dtype=self.price)
-            for start in range(0, len(whole), _CHUNK_ROWS):
-                chunk = _mask_rows(whole[start : start + _CHUNK_ROWS], self.n) @ self.prices[:, c]
-                togo[start : start + _CHUNK_ROWS] = np.minimum(chunk, self.cap + 1)
-            ok = (left_cost + togo <= self.cap).nonzero()[0]
-            ok = ok[self._last_accepts(whole[ok])]
-        else:
-            after, after_cost = self._back(c + 1)
-            rest = np.full(1 << self.m, self.cap + 1, dtype=self.price)
-            rest[after] = after_cost
-            sets, set_cost = self._sets(c)
-            togo = np.full(len(left), self.cap + 1, dtype=self.price)
-            for i, j in _disjoint_pairs(left, sets, self.full):
-                np.minimum.at(togo, i, set_cost[j] + rest[left[i] | sets[j]])
-            ok = (left_cost + togo <= self.cap).nonzero()[0]
-        self.back[c] = left[ok], togo[ok], self.m
+    def _last_takes(self) -> tuple[int, int] | None:
+        """The first set of `fwd[k-1]` whose complement the last district
+        accepts within the budget, with the budget it leaves; None if none."""
+        reach, reach_cost = self.fwd[-1]
+        for start in range(0, len(reach), _CHUNK_ROWS):
+            placed = _mask_rows(self.full ^ reach[start : start + _CHUNK_ROWS], self.n)
+            # clipped into the price type: a mixed sum would go through float64
+            togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
+            ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
+            ok = ok[_accepts(self.inst, self.k - 1, self.order, placed[ok])]
+            if len(ok):
+                return int(reach[start + ok[0]]), self.cap - int(togo[ok[0]])
+        return None
 
-    def _ensure_fwd(self, c: int) -> None:
-        d = c
-        while self.fwd[d] is None:
-            d -= 1
-        for d in range(d + 1, c + 1):
-            self._forward(d)
+    def placement(self) -> list[int] | None:
+        """The district (1-based) of each candidate in a valid placement, or
+        None if there is none.
 
-    def _ensure_back(self, c: int) -> None:
-        d = c
-        while self.back[d] is None:
-            d += 1
-        for d in range(d - 1, c - 1, -1):
-            self._ensure_fwd(d)
-            self._backward(d)
-
-    # -- decision and witness ----------------------------------------------
-
-    def decide(self) -> int | None:
-        """The last forward layer built if some placement is valid, else None.
-
-        The forward pass stops at the first layer that covers every
-        candidate; otherwise the last district is asked only about the
-        complements of the sets districts 1..k-1 can take."""
+        The forward pass stops at the first layer e that covers every
+        candidate; otherwise the last district takes the complement of a
+        set of layer k-1.  Either way the final set is read back down the
+        layers: district c takes a set S it accepts such that the rest of
+        the set is in layer c-1 and the two prices fit the budget left."""
         e = 0
         while e < self.k - 1 and self.fwd[e][0][-1] != self.full:
             e += 1
             self._forward(e)
         if self.fwd[e][0][-1] == self.full:
-            return e
-        self._backward(self.k - 1)
-        return e if len(self.back[self.k - 1][0]) else None
-
-    def _covers_top(self, c: int) -> bool:
-        """Some valid completion places the top free candidate in districts 1..c."""
-        if c == self.k:
-            return True
-        top = 1 << (self.m - 1)
-        # A district that cannot take the candidate has the answer of the
-        # one before it: walk down to one that can (a loop, since k may be
-        # far beyond the recursion limit when n is small).
-        passed = []
-        while c > 0 and c not in self.seen:
-            sets = self._sets(c - 1)[0]
-            if len(sets) and sets[-1] >= top:
-                self.seen[c] = self._layers_cover_top(c, top)
-                break
-            passed.append(c)
-            c -= 1
-        answer = c > 0 and self.seen[c]
-        for d in passed:
-            self.seen[d] = answer
-        return answer
-
-    def _layers_cover_top(self, c: int, top: int) -> bool:
-        """`_covers_top` for a district c < k that can take the candidate."""
-        if self.back[c] is not None:
-            done = self._back(c)[0]
-            if not (len(done) and done[-1] >= top):
-                return False
-        self._ensure_fwd(c)
-        reach, reach_cost = self._fwd(c)
-        if reach[-1] < top:
-            return False
-        if reach[-1] == self.full and c >= self.deepest:
-            return True  # the later districts keep nothing, which they accept
-        self._ensure_back(c)
-        done, done_cost = self._back(c)
-        cut = done.searchsorted(self._mask(top))[0]
-        done, done_cost = done[cut:], done_cost[cut:]
-        pos = np.minimum(reach.searchsorted(done), len(reach) - 1)
-        return bool(((reach[pos] == done) & (reach_cost[pos] + done_cost <= self.cap)).any())
-
-    def digit(self, start: int) -> int:
-        """The least district of the top free candidate in a valid completion.
-
-        `_covers_top` is monotone in c, so walk from `start` (the previous
-        candidate's district, whose layers are still at hand)."""
-        c = start
-        if self._covers_top(c):
-            while c > 1 and self._covers_top(c - 1):
-                c -= 1
+            mask, left = self.full, self.cap
         else:
-            c += 1
-            while not self._covers_top(c):
-                c += 1
-        return c
+            found = self._last_takes()
+            if found is None:
+                return None
+            mask, left = found
+        districts = [self.k] * self.n
+        c = e
+        while mask:
+            taken, price = self._take(c, mask, left)
+            for j in range(self.n):
+                if taken >> (self.n - 1 - j) & 1:
+                    districts[j] = c
+            mask ^= taken
+            left -= price
+            c -= 1
+        return districts
 
-    def fix(self, c: int) -> None:
-        """Place the top free candidate in district c (1-based).
-
-        Layer c of the forward pass keeps its sets that hold the candidate.
-        Beside the sets that place it in district c, they hold only sets
-        that place it in an earlier district, and those have no valid
-        completion within the budget, since c is the least district that
-        has one."""
-        top = 1 << (self.m - 1)
-        if c < self.k and self.fwd[c] is not None:
-            masks, costs = self._fwd(c)
-            cut = masks.searchsorted(self._mask(top))[0]
-            self.fwd[c] = masks[cut:] - top, costs[cut:], self.m - 1
-        self.fwd[c + 1 :] = [None] * (self.k - c - 1)
-        self.back[:c] = [None] * c
-        self.fixed = [2 * f + (d == c - 1) for d, f in enumerate(self.fixed)]
-        self.deepest = max(self.deepest, c)
-        self.seen = {}
-        self.m -= 1
-        self.full >>= 1
+    def _take(self, c: int, mask: int, left: int) -> tuple[int, int]:
+        """A set S that district c accepts, with its price, such that
+        mask - S is in `fwd[c-1]` and the two prices fit `left`; one exists
+        whenever mask is in `fwd[c]` at a price within `left`."""
+        sets, set_cost = self.sets[c - 1]
+        reach, reach_cost = self.fwd[c - 1]
+        stop = sets.searchsorted(self.word.type(mask), "right")  # S ⊆ mask: S ≤ mask
+        for start in range(0, stop, _CHUNK_ROWS):
+            part = sets[start : min(start + _CHUNK_ROWS, stop)]
+            part_cost = set_cost[start : start + len(part)]
+            rest = mask ^ part
+            pos = np.minimum(reach.searchsorted(rest), len(reach) - 1)
+            hit = (
+                ((part & mask) == part)
+                & (reach[pos] == rest)
+                & (part_cost + reach_cost[pos] <= left)
+            ).nonzero()[0]
+            if len(hit):
+                return int(part[hit[0]]), int(part_cost[hit[0]])
+        raise AssertionError(f"no set of district {c} completes mask {mask}")
 
 
 def solve_brute(
@@ -784,46 +694,26 @@ def solve_brute(
     A DP over (district, covered set) decides the instance: reachability
     when unpriced, the least price within the budget when priced (the
     partition-into-accepted-blocks DP of Björklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007).  The witness is the lexicographically first valid
-    placement in (sorted candidate, district index) order, rebuilt from the
-    DP layers one candidate at a time; `nodes` is its 1-based index among
-    the k^|A| placements (k^|A| on No).  The DP is refused up front
+    Koivisto, STOC 2007).  The witness, a valid placement, is read back
+    from the forward layers the decision built, and `nodes` is k^|A|, the
+    number of placements the DP stands for.  The DP is refused up front
     (resource error) when k^|A| exceeds the node budget, as the placement
-    scan it replaces was, so exit codes do not change.
+    scan it replaced was, so exit codes do not change.
     """
     budget = _resolve_budget(node_budget)
     order = sorted(inst.additional)
     n = len(order)
-    k = inst.k
-    total = k ** n
+    total = inst.k ** n
     if total > budget:
         raise ResourceBudgetError(
-            f"{k}^{n} = {total} placements exceed the node budget {budget}"
+            f"{inst.k}^{n} = {total} placements exceed the node budget {budget}"
         )
     _probe_explicit_vectors(inst, n)
-    if k == 1:
-        # The one placement; k^|A| = 1 does not bound |A|, so build no table.
-        asg = Assignment({a: 1 for a in order})
-        report = verify(inst, asg)
-        stats = {"nodes": 1, "placements": 1}
-        if report.valid:
-            return SolveResult(True, asg, "brute", stats, report.total_cost)
+    stats = {"nodes": total, "placements": total}
+    districts = _PlacementDP(inst, order).placement()
+    if districts is None:
         return _reject("brute", stats)
-    dp = _PlacementDP(inst, order)
-    c = dp.decide()
-    if c is None:
-        return _reject("brute", {"nodes": total, "placements": total})
-    digits = []
-    for _ in range(n):
-        c = dp.digit(c)
-        digits.append(c)
-        dp.fix(c)
-    index = sum((c - 1) * k ** (n - 1 - j) for j, c in enumerate(digits))
-    stats = {"nodes": index + 1, "placements": total}
-    cost = None
-    if inst.pricing is not None:
-        cost = int(sum(dp.prices[j, c - 1] for j, c in enumerate(digits)))
-    return _accept(inst, dict(zip(order, digits)), "brute", stats, cost)
+    return _accept(inst, dict(zip(order, districts)), "brute", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -869,9 +759,7 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
                         placement[next(feed)] = i
                         placement[next(feed)] = i
                         placement[next(feed)] = i
-                    return _accept(
-                        inst, placement, "e1-bound3", {"nodes": scanned}, None
-                    )
+                    return _accept(inst, placement, "e1-bound3", {"nodes": scanned})
     return _reject("e1-bound3", {"nodes": scanned})
 
 
@@ -890,9 +778,7 @@ def solve_e2_unbounded(inst: RecampaignInstance) -> SolveResult:
         raise WrongVariantError("solve_e2_unbounded handles unpriced instances only")
     order = sorted(inst.additional)
     if len(order) >= 4:
-        return _accept(
-            inst, {a: 1 for a in order}, "e2-unbounded", {"nodes": 1}, None
-        )
+        return _accept(inst, {a: 1 for a in order}, "e2-unbounded", {"nodes": 1})
     nodes = 0
     for digs in itertools.product(range(1, inst.k + 1), repeat=len(order)):
         nodes += 1

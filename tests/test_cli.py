@@ -15,6 +15,7 @@ from recamp import (
     RecampaignInstance,
     TApproval,
     TrivialScoring,
+    UNBOUNDED,
     decide_x3c,
 )
 from recamp.cli import main
@@ -31,7 +32,7 @@ from recamp.formats import (
 
 from test_core import THREE_VOTES
 from test_gadgets import E33_A, SAT_YES6, X3C_NO, X3C_YES
-from test_solvers import worked_example_instance
+from test_solvers import huge_price_instance, worked_example_instance
 
 
 @pytest.fixture
@@ -96,6 +97,29 @@ class TestSolve:
         assert code == 1
         assert report["answer"] == "NO"
         assert report["statistics"]["nodes"] == 0
+
+    @pytest.mark.parametrize("bound", [UNBOUNDED, AtMost(2)])
+    @pytest.mark.parametrize(
+        "price, budget, code", [(2**62, 5, 1), (2**63, 5, 1), (2**62, 2**64, 0)]
+    )
+    def test_prices_beyond_int64(self, run, tmp_path, bound, price, budget, code):
+        path = tmp_path / "huge.json"
+        path.write_text(render_instance(huge_price_instance(price, budget, bound)))
+        got, out = run("solve", path)
+        report = json.loads(out)
+        assert got == code
+        if code == 0:
+            assert report["cost"] == 2 * price
+            check = tmp_path / "witness.json"
+            check.write_text(json.dumps(report["assignment"]))
+            assert run("verify", path, check)[0] == 0
+
+    @pytest.mark.parametrize("bound", [UNBOUNDED, AtMost(2)])
+    def test_budget_beyond_int64_sums_is_usage_error(self, tmp_path, capsys, bound):
+        path = tmp_path / "huge.json"
+        path.write_text(render_instance(huge_price_instance(2**70, 2**65, bound)))
+        assert main(["solve", str(path)]) == 2
+        assert "int64" in capsys.readouterr().err
 
     def test_wrong_variant_is_usage_error(self, run, worked_example_file, capsys):
         code = main(["solve", str(worked_example_file), "--algorithm", "crc1"])

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recamp import (
-    Assignment,
     AtMost,
     Borda,
     Condorcet,
@@ -23,6 +22,7 @@ from recamp import (
     ExplicitScoringFamily,
     LinearVote,
     Pricing,
+    PreconditionError,
     RandomInstanceParams,
     RecampaignInstance,
     ResourceBudgetError,
@@ -87,12 +87,16 @@ def worked_example_instance(budget=16):
 
 
 def checked(inst, result):
-    """Every Yes must come with a verify-accepted assignment."""
+    """Every Yes must come with a verify-accepted assignment, at the cost
+    verify computes for it."""
     if result.answer:
         assert result.assignment is not None
-        assert verify(inst, result.assignment).valid
+        report = verify(inst, result.assignment)
+        assert report.valid
+        assert result.cost == report.total_cost
     else:
         assert result.assignment is None
+        assert result.cost is None
     return result
 
 
@@ -435,14 +439,78 @@ class TestSolveBrute:
         inst = from_winner_problem(e, "a", TApproval(1))
         assert not checked(inst, solve_brute(inst)).answer
 
-    def test_first_witness_in_lexicographic_order(self):
-        # both districts work; the scan must pick district 1 for the
-        # lexicographically first candidate
+    @staticmethod
+    def _takes(*votes):
+        """A district holding x under 1-approval, one ballot per vote:
+        [a, x, b] accepts {a} alone, [x, a, b] accepts nothing."""
+        return District(["x"], [LinearVote(list(v)) for v in votes])
+
+    def test_early_stop_reads_back_the_forward_layers(self):
+        # Districts 1 and 2 cover {a, b} together, so the forward pass stops
+        # at layer 2 of 3 and the last district is never asked.
         inst = RecampaignInstance(
-            TrivialScoring(), (District([]), District([])), frozenset({"a"}), UNBOUNDED
+            TApproval(1),
+            (self._takes("axb"), self._takes("bxa"), self._takes("xab"), self._takes("xab")),
+            frozenset("ab"),
+            UNBOUNDED,
+        )
+        dp = solvers._PlacementDP(inst, ["a", "b"])
+        assert dp.placement() == [1, 2]
+        assert len(dp.fwd) == 3
+        result = checked(inst, solve_brute(inst))
+        assert result.assignment.placement == {"a": 1, "b": 2}
+        assert result.statistics == {"nodes": 4**2, "placements": 4**2}
+
+    def test_last_district_takes_the_complement(self):
+        # Only district 1 takes a, only district 3 takes b, and district 2
+        # takes nothing: the read-back starts from the set {a} of layer 2.
+        inst = RecampaignInstance(
+            TApproval(1),
+            (self._takes("axb"), self._takes("xab"), self._takes("bxa")),
+            frozenset("ab"),
+            UNBOUNDED,
+        )
+        dp = solvers._PlacementDP(inst, ["a", "b"])
+        assert dp.placement() == [1, 3]
+        assert len(dp.fwd) == 3
+        result = checked(inst, solve_brute(inst))
+        assert result.assignment.placement == {"a": 1, "b": 3}
+        assert result.statistics == {"nodes": 3**2, "placements": 3**2}
+
+    @pytest.mark.parametrize("chunk", [4, 1 << 14])
+    def test_priced_read_back_keeps_to_the_budget(self, chunk):
+        # Every set is accepted everywhere, but candidate j is free only in
+        # district j % 3 + 1: at budget 0 exactly one placement is valid.
+        order = [f"a{j}" for j in range(8)]
+        prices = {(i, a): int(i != j % 3 + 1) for i in (1, 2, 3) for j, a in enumerate(order)}
+        inst = RecampaignInstance(
+            TrivialScoring(),
+            tuple(District([]) for _ in range(3)),
+            frozenset(order),
+            UNBOUNDED,
+            Pricing(prices, 0),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_CHUNK_ROWS", chunk)
+            result = checked(inst, solve_brute(inst))
+        assert result.assignment.placement == {a: j % 3 + 1 for j, a in enumerate(order)}
+        assert result.cost == 0
+
+    def test_read_back_keeps_to_the_budget_left(self):
+        # Budget 2: the last district takes b at price 1, leaving 1 for {a}.
+        # District 1 reaches {a} at price 2, within the budget but not
+        # within what is left, so district 2 must take a, at price 0.
+        price = {1: {"a": 2, "b": 3}, 2: {"a": 0, "b": 3}, 3: {"a": 3, "b": 1}}
+        inst = RecampaignInstance(
+            TrivialScoring(),
+            tuple(District([]) for _ in range(3)),
+            frozenset("ab"),
+            UNBOUNDED,
+            Pricing({(i, a): p for i, row in price.items() for a, p in row.items()}, 2),
         )
         result = checked(inst, solve_brute(inst))
-        assert result.assignment.placement == {"a": 1}
+        assert result.assignment.placement == {"a": 2, "b": 3}
+        assert result.cost == 1
 
     def test_budget_refusal(self):
         inst = RecampaignInstance(
@@ -455,8 +523,8 @@ class TestSolveBrute:
             solve_brute(inst, node_budget=100)
 
     def test_many_districts_only_the_last_accepts(self):
-        # k = 1200 and n = 2 is within the budget; the witness walk passes
-        # every district both upwards (for a) and downwards (for b).
+        # k = 1200 and n = 2 is within the budget; the forward pass runs
+        # through every layer, and the last district takes both.
         k = 1200
         loser = District(["x"], [LinearVote(["x", "a", "b"])])
         inst = RecampaignInstance(
@@ -492,11 +560,18 @@ class TestSolveBrute:
         assert result.statistics == {"nodes": 3**12, "placements": 3**12}
         assert peak < 16 * 2**20
 
-    def test_dense_yes_takes_the_first_placement(self):
-        inst = self._dense(priced=False)
-        result = checked(inst, solve_brute(inst))
-        assert result.statistics["nodes"] == 1
-        assert set(result.assignment.placement.values()) == {1}
+    def test_dense_yes_stops_at_the_first_layer(self):
+        # District 1 accepts every set, so layer 1 already covers every
+        # candidate and the read-back gives it the whole set; priced, every
+        # placement costs 12, the budget.
+        plain = self._dense(priced=False)
+        priced = self._dense(priced=True)
+        priced = dataclasses.replace(priced, pricing=Pricing(priced.pricing.prices, 12))
+        for inst, cost in ((plain, None), (priced, 12)):
+            result = checked(inst, solve_brute(inst))
+            assert result.statistics == {"nodes": 3**12, "placements": 3**12}
+            assert set(result.assignment.placement.values()) == {1}
+            assert result.cost == cost
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=150, deadline=None)
@@ -517,9 +592,9 @@ class TestSolveBrute:
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=100, deadline=None)
-    def test_small_chunks_find_the_first_witness(self, seed):
-        """Many table chunks and pair blocks: the lexicographically first
-        valid placement is still the witness, at its 1-based index."""
+    def test_small_chunks_find_a_valid_witness(self, seed):
+        """Many table chunks, pair blocks and read-back blocks: the answer
+        is the placement scan's, and a YES is valid within the budget."""
         rng = random.Random(seed)
         k = rng.randint(2, 4)
         params = RandomInstanceParams(
@@ -531,24 +606,65 @@ class TestSolveBrute:
             priced=bool(rng.getrandbits(1)),
         )
         inst = random_instance(params, seed)
-        order = sorted(inst.additional)
-        placements = itertools.product(range(1, inst.k + 1), repeat=len(order))
-        first = next(
-            (
-                (index, dict(zip(order, digits)))
-                for index, digits in enumerate(placements, start=1)
-                if verify(inst, Assignment(dict(zip(order, digits)))).valid
-            ),
-            None,
-        )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_CHUNK_ROWS", 4)
             result = checked(inst, solve_brute(inst))
-        if first is None:
-            assert not result.answer
-        else:
-            assert result.statistics["nodes"] == first[0]
-            assert result.assignment.placement == first[1]
+        assert result.answer == placement_scan(inst)[0]
+        total = inst.k ** len(inst.additional)
+        assert result.statistics == {"nodes": total, "placements": total}
+        if result.answer and inst.pricing is not None:
+            assert result.cost <= inst.pricing.budget
+
+
+def huge_price_instance(price, budget, bound=UNBOUNDED):
+    """Two empty districts under Borda, candidates a and b, every price
+    `price`: any placement is valid when the budget allows 2·price."""
+    prices = {(i, a): price for i in (1, 2) for a in "ab"}
+    return RecampaignInstance(
+        Borda(), (District([]), District([])), frozenset("ab"), bound, Pricing(prices, budget)
+    )
+
+
+class TestPricesBeyondInt64:
+    ROUTES = [
+        (solve_brute, UNBOUNDED),
+        (solve_brute, AtMost(2)),
+        (solve_fpt, AtMost(2)),
+        (solve_auto, UNBOUNDED),
+        (solve_auto, AtMost(2)),
+    ]
+
+    @pytest.mark.parametrize("solve, bound", ROUTES)
+    @pytest.mark.parametrize("price", [2**62, 2**63, 2**70])
+    def test_price_above_the_budget_is_never_paid(self, solve, bound, price):
+        inst = huge_price_instance(price, 5, bound)
+        assert not checked(inst, solve(inst)).answer
+
+    @pytest.mark.parametrize("solve, bound", ROUTES)
+    @pytest.mark.parametrize("price", [2**62, 2**63])
+    def test_budget_that_cannot_bind(self, solve, bound, price):
+        inst = huge_price_instance(price, 2**64, bound)
+        result = checked(inst, solve(inst))
+        assert result.answer
+        assert result.cost == 2 * price
+
+    @pytest.mark.parametrize("solve, bound", ROUTES)
+    @pytest.mark.parametrize("budget", [2**60 + 1, 2**60 + 2])
+    def test_sums_past_float64_precision_stay_exact(self, solve, bound, budget):
+        # Only a in district 1 with b in district 2 can fit, at 2^60 + 2;
+        # in float64 that sum would round to 2^60.
+        prices = {(1, "a"): 2**60, (2, "b"): 2, (2, "a"): 2**62, (1, "b"): 2**62}
+        inst = RecampaignInstance(
+            Borda(), (District([]), District([])), frozenset("ab"), bound, Pricing(prices, budget)
+        )
+        result = checked(inst, solve(inst))
+        assert result.answer == (budget == 2**60 + 2)
+
+    @pytest.mark.parametrize("solve, bound", ROUTES)
+    def test_budget_beyond_int64_sums_is_refused(self, solve, bound):
+        inst = huge_price_instance(2**70, 2**65, bound)
+        with pytest.raises(PreconditionError, match="int64"):
+            solve(inst)
 
 
 class TestSolveE1Bound3:
