@@ -7,8 +7,9 @@ three times: through `solve_auto`, through `solve_brute` (the subset DP,
 which is also the route `solve_auto` takes for the unbounded variants
 without a polynomial method), and with `placement_scan` from
 `tests/oracles.py`, which checks every placement with `verify` and shares
-no code with the solvers' district oracle.  Every YES must report the
-cost `verify` computes for its witness, and on the matching routes
+no code with the solvers' district oracle.  Bounded draws, bound 1
+included, are also decided by `solve_fpt` directly.  Every YES must report
+the cost `verify` computes for its witness, and on the matching routes
 (`crc1-matching`, `b-matching`) that cost must be the scan's minimum.
 Reports per-rule agreement, yes-rates, and which routes fired.  Exits
 nonzero if any answer or cost disagrees, so the script doubles as a soak
@@ -38,6 +39,7 @@ from recamp import (
     verify,
     solve_auto,
     solve_brute,
+    solve_fpt,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -79,12 +81,12 @@ def run(args: argparse.Namespace) -> int:
 
     rng = random.Random(args.seed)
     print(f"{'rule':<12} {'trials':>6} {'yes':>5} {'disagree':>8} "
-          f"{'auto ms':>8} {'brute ms':>9}  routes")
+          f"{'auto ms':>8} {'brute ms':>9} {'fpt ms':>7}  routes")
     failures = 0
     for name, rule in RULES.items():
         routes: collections.Counter[str] = collections.Counter()
         yes = disagree = 0
-        auto_time = brute_time = 0.0
+        auto_time = brute_time = fpt_time = 0.0
         for trial in range(args.trials):
             params = RandomInstanceParams(
                 districts=rng.randint(1, args.max_districts),
@@ -107,6 +109,13 @@ def run(args: argparse.Namespace) -> int:
             errors = cost_errors(inst, fast, best_cost) + cost_errors(inst, slow, best_cost)
             if not fast.answer == slow.answer == scan:
                 errors.append(f"auto={fast.answer} brute={slow.answer} scan={scan}")
+            if params.bound != UNBOUNDED:
+                t3 = time.perf_counter()
+                fpt = solve_fpt(inst, node_budget=args.node_budget)
+                fpt_time += time.perf_counter() - t3
+                errors += cost_errors(inst, fpt, best_cost)
+                if fpt.answer != scan:
+                    errors.append(f"fpt={fpt.answer} scan={scan}")
             if errors:
                 disagree += 1
                 failures += 1
@@ -116,7 +125,8 @@ def run(args: argparse.Namespace) -> int:
         route_note = " ".join(f"{r}:{c}" for r, c in sorted(routes.items()))
         print(f"{name:<12} {args.trials:>6} {yes:>5} {disagree:>8} "
               f"{auto_time / args.trials * 1000:>8.2f} "
-              f"{brute_time / args.trials * 1000:>9.2f}  {route_note}")
+              f"{brute_time / args.trials * 1000:>9.2f} "
+              f"{fpt_time / args.trials * 1000:>7.2f}  {route_note}")
     if failures:
         print(f"\n{failures} disagreement(s) found", file=sys.stderr)
         return 1

@@ -4,8 +4,8 @@ Entry points (all return a `SolveResult`):
 
 - `solve_crc1`            bound ℓ=1, any rule: weighted bipartite matching.
 - `solve_trivial_scoring` trivial scoring rule, any bound: perfect b-matching.
-- `solve_fpt`             bounded variant, any rule: guard n ≤ k·ℓ, then an
-                          exact-cover search over per-district winning sets.
+- `solve_fpt`             bounded variant, any rule: guard n ≤ k·ℓ, then the
+                          subset DP over the sets of at most ℓ candidates.
 - `solve_brute`           any variant: a subset DP over (district, covered
                           set) on the verdict tables, the reference for the
                           rest; its witness is read back from the DP's
@@ -14,16 +14,16 @@ Entry points (all return a `SolveResult`):
 - `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
 - `solve_auto`            dispatches to the cheapest applicable method.
 
-crc1 (singletons), the cover build (sets of size ≤ ℓ) and brute (every
-subset for districts 1..k-1, the complements of the sets they can take for
-district k) ask one batched question, `_accepts`: which sets S ⊆ A does
-district i accept, electing all of S within the bound?  `verify` stays on
-the object path as the independent referee for every YES, and every
-reported cost is the one `verify` computes, in Python ints.  Prices enter
-int64 clipped to budget + 1, since a price above the budget is never paid.
-fpt and brute honour the node budget; brute still refuses when k^|A|
-exceeds it, as the placement scan it replaced did, so exit codes do not
-change.
+crc1 (singletons) and the DP (the sets of at most ℓ candidates, or every
+set unbounded, for districts 1..k-1, the complements of the sets they can
+take for district k) ask one batched question, `_accepts`: which sets
+S ⊆ A does district i accept, electing all of S within the bound?  `verify`
+stays on the object path as the independent referee for every YES, and
+every reported cost is the one `verify` computes, in Python ints.  Prices
+enter int64 clipped to budget + 1, since a price above the budget is never
+paid.  fpt stops once the DP's work, the oracle rows asked plus the
+disjoint pairs tried, exceeds the node budget; brute still refuses when
+k^|A| exceeds it, as the placement scan it replaced did.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -65,7 +65,6 @@ from .model import (
     AtMost,
     RecampaignInstance,
     Unbounded,
-    lift_to_priced,
     verify,
 )
 
@@ -138,34 +137,31 @@ def _reject(algorithm: str, statistics: dict[str, int]) -> SolveResult:
     return SolveResult(False, None, algorithm, statistics, None)
 
 
-def _budget_binds(inst: RecampaignInstance) -> bool:
-    """Some placement costs more than the budget; if none does, the prices
-    cannot change the answer and the instance is decided as unpriced."""
-    pricing = inst.pricing
-    if pricing is None:
-        return False
-    districts = range(1, inst.k + 1)
-    dearest = (max(pricing.price(i, a) for i in districts) for a in inst.additional)
-    return sum(dearest) > pricing.budget
+def _price_matrix(
+    inst: RecampaignInstance, order: list[str], terms: int
+) -> tuple[np.ndarray, int]:
+    """(prices, cap): prices[j, d] = the price of placing order[j] in
+    district d (0-based), clipped to budget + 1, since a price above the
+    budget is never paid, and cap the budget, from one read of each price.
 
-
-def _price_matrix(inst: RecampaignInstance, order: list[str], terms: int) -> np.ndarray:
-    """prices[j, d] = the price of placing order[j] in district d (0-based),
-    clipped to budget + 1: a price above the budget is never paid.
-
-    Sums of up to `terms` clipped prices must fit int64; a budget too large
-    for that is refused rather than wrapped."""
-    budget = inst.pricing.budget
+    When no placement costs more than the budget, the prices cannot change
+    the answer: the instance is decided as unpriced, every price and the
+    cap 0.  Otherwise sums of up to `terms` clipped prices must fit int64;
+    a budget too large for that is refused rather than wrapped."""
+    unpriced = np.zeros((len(order), inst.k), dtype=np.int64), 0
+    if inst.pricing is None:
+        return unpriced
+    prices, budget = inst.pricing.prices, inst.pricing.budget
+    rows = [[prices[(i, a)] for i in range(1, inst.k + 1)] for a in order]
+    if sum(max(row) for row in rows) <= budget:
+        return unpriced
     if terms * (budget + 1) > _INT64_MAX:
         raise PreconditionError(
             f"budget {budget} is too large for sums of {terms} prices in int64: "
             f"{terms} * (budget + 1) must be at most 2^63 - 1"
         )
-    districts = range(1, inst.k + 1)
-    return np.array(
-        [[min(inst.pricing.price(i, a), budget + 1) for i in districts] for a in order],
-        dtype=np.int64,
-    ).reshape(len(order), inst.k)
+    clipped = [[min(p, budget + 1) for p in row] for row in rows]
+    return np.array(clipped, dtype=np.int64).reshape(len(order), inst.k), budget
 
 
 # ---------------------------------------------------------------------------
@@ -380,151 +376,7 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact-cover system and the FPT route
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverMember:
-    """One admissible choice for one district: place exactly `placed` there.
-
-    As a set-cover element it stands for {tag_district} ∪ placed inside the
-    universe A ∪ {tags}; the tag forces exactly one member per district.
-    """
-
-    district: int
-    placed: frozenset[str]
-    weight: int
-
-
-@dataclass(frozen=True)
-class CoverSystem:
-    additional: frozenset[str]
-    district_tags: tuple[int, ...]
-    members: tuple[CoverMember, ...]
-    budget: int
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.additional) + len(self.district_tags)
-
-
-def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
-    """Enumerate the ≤ k·2^|A| admissible (district, placed-set) members.
-
-    A nonempty set A′ is admissible for district i when every member of A′
-    wins the district election with exactly A′ added, the winner count stays
-    within the bound, and its price fits the budget on its own (costlier
-    members could never join a within-budget cover).  The empty set is
-    admissible everywhere.  The instance decides Yes iff some selection of
-    one member per district has pairwise-disjoint placed sets covering A
-    with total weight within budget.  The weights are summed in int64, so a
-    budget with min(ℓ, |A|)·(budget + 1) ≥ 2⁶³ is refused (precondition
-    error).
-    """
-    if not isinstance(inst.bound, AtMost):
-        raise WrongVariantError("the cover system is defined for bounded instances")
-    if inst.pricing is None:
-        raise PreconditionError("price the instance first (see lift_to_priced)")
-    order = sorted(inst.additional)
-    n = len(order)
-    level = inst.bound.limit
-    budget = inst.pricing.budget
-    combos = [
-        c for s in range(1, min(level, n) + 1) for c in itertools.combinations(range(n), s)
-    ]
-    rows = np.zeros((len(combos), n), dtype=bool)
-    for r, combo in enumerate(combos):
-        rows[r, combo] = True
-    placed = [frozenset(order[j] for j in combo) for combo in combos]
-    weights = rows.astype(np.int64) @ _price_matrix(inst, order, min(level, n))
-    members = []
-    for d in range(inst.k):
-        members.append(CoverMember(d + 1, frozenset(), 0))
-        fits = np.flatnonzero(weights[:, d] <= budget)
-        ok = fits[_accepts(inst, d, order, rows[fits])]
-        members.extend(
-            CoverMember(d + 1, placed[r], int(weights[r, d])) for r in ok.tolist()
-        )
-    return CoverSystem(
-        frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget
-    )
-
-
-def solve_fpt(
-    inst: RecampaignInstance, node_budget: int | None = None
-) -> SolveResult:
-    """Decide any bounded variant: guard, then exact-cover search.
-
-    More than k·ℓ additional candidates can never all win (each touched
-    district holds at most ℓ of them), so such instances are rejected
-    outright.  Otherwise unpriced instances, and priced ones whose budget
-    no placement exceeds, are lifted to unit prices, and the cover system is
-    searched district by district.  The build is refused up front (resource
-    error) when its k·Σ_{s≤ℓ} C(|A|, s) candidate members exceed the node
-    budget, and the search stops with the same error once it visits more
-    members than the budget.
-    """
-    if not isinstance(inst.bound, AtMost):
-        raise WrongVariantError("solve_fpt decides only bounded variants")
-    budget_nodes = _resolve_budget(node_budget)
-    order = sorted(inst.additional)
-    n = len(order)
-    level = inst.bound.limit
-    if n > inst.k * level:
-        return _reject("fpt", {"nodes": 0, "members": 0, "guard": 1})
-    candidates = inst.k * sum(math.comb(n, s) for s in range(min(level, n) + 1))
-    if candidates > budget_nodes:
-        raise ResourceBudgetError(
-            f"{candidates} cover members to check exceed the node budget {budget_nodes}"
-        )
-
-    work = inst
-    if not _budget_binds(inst):
-        work = lift_to_priced(inst if inst.pricing is None else replace(inst, pricing=None))
-    system = build_exact_cover_system(work)
-    by_district: list[list[CoverMember]] = [[] for _ in range(inst.k)]
-    for member in system.members:
-        by_district[member.district - 1].append(member)
-    for bucket in by_district:
-        bucket.sort(key=lambda m: (m.weight, sorted(m.placed)))
-
-    budget = work.pricing.budget
-    target = frozenset(order)
-    nodes = 0
-
-    def search(i: int, used: frozenset[str], spent: int) -> list[CoverMember] | None:
-        nonlocal nodes
-        if i == inst.k:
-            return [] if used == target else None
-        remaining = len(target) - len(used)
-        if remaining > (inst.k - i) * level:
-            return None
-        for member in by_district[i]:
-            nodes += 1
-            if nodes > budget_nodes:
-                raise ResourceBudgetError(
-                    f"the cover search visited more than {budget_nodes} members"
-                )
-            if spent + member.weight > budget:
-                continue
-            if member.placed & used or not member.placed <= target:
-                continue
-            rest = search(i + 1, used | member.placed, spent + member.weight)
-            if rest is not None:
-                return [member] + rest
-        return None
-
-    chosen = search(0, frozenset(), 0)
-    stats = {"nodes": nodes, "members": len(system.members), "guard": 0}
-    if chosen is None:
-        return _reject("fpt", stats)
-    placement = {a: m.district for m in chosen for a in m.placed}
-    return _accept(inst, placement, "fpt", stats)
-
-
-# ---------------------------------------------------------------------------
-# Brute force: a subset DP over the verdict tables
+# The exact engine: a subset DP over the verdict tables, and brute force
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 1 << 14
@@ -537,85 +389,132 @@ def _probe_explicit_vectors(inst: RecampaignInstance, n: int) -> None:
                 scoring_vector(inst.rule, size)
 
 
+def _masks(n: int, level: int, word: np.dtype):
+    """The masks of n bits with at most `level` of them set, in increasing
+    order, a _CHUNK_ROWS chunk at a time.  Below n they are grown bit by
+    bit, each bit appended after the masks without it, which it exceeds."""
+    if level >= n:
+        for start in range(0, 1 << n, _CHUNK_ROWS):
+            yield np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=word)
+        return
+    masks = np.zeros(1, dtype=word)
+    for b in range(n):
+        grow = masks[np.bitwise_count(masks) < level]
+        masks = np.concatenate((masks, grow | word.type(1 << b)))
+    for start in range(0, len(masks), _CHUNK_ROWS):
+        yield masks[start : start + _CHUNK_ROWS]
+
+
 def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
     """placed[r, j]: order[j] is in the set masks[r] (bit n-1-j stands for order[j])."""
     return (masks[:, None] & (1 << np.arange(n - 1, -1, -1, dtype=masks.dtype))) != 0
 
 
-def _disjoint_pairs(left: np.ndarray, right: np.ndarray, full: int):
-    """Index pairs (i, j) with left[i] & right[j] == 0 for sorted masks
-    within `full`, a block of at most _CHUNK_ROWS tried pairs at a time.
-    A set disjoint from L is at most full - L, so a block of left masks
-    tries only the right masks up to full minus its least one."""
-    for r0 in range(0, len(right), _CHUNK_ROWS):
-        block = right[r0 : r0 + _CHUNK_ROWS]
-        l0 = 0
-        while l0 < len(left):
-            fits = block[: block.searchsorted(full - left[l0], "right")]
-            width = _CHUNK_ROWS // max(1, len(fits))
-            i, j = ((left[l0 : l0 + width, None] & fits) == 0).nonzero()
-            yield i + l0, j + r0
-            l0 += width
+def _least(masks: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each mask once, in increasing order, at its least cost."""
+    by = np.argsort(masks)
+    masks, costs = masks[by], costs[by]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = masks[1:] != masks[:-1]
+    starts = first.nonzero()[0]
+    return masks[starts], np.minimum.reduceat(costs, starts)
 
 
 class _PlacementDP:
-    """The subset DP of `solve_brute` and the read-back of its witness.
+    """The subset DP of `solve_brute` and `solve_fpt`, and the read-back of
+    its witness.
 
-    Bit n-1-j of a mask stands for order[j].  `sets[d]` holds the sets
-    district d+1 accepts, and `fwd[d]` each set that districts 1..d can
-    take together, both as sorted masks with the least price of each,
-    within the budget only.  The last district has no table: it is asked
-    only about the complements of the sets of `fwd[k-1]`.
+    Bit n-1-j of a mask stands for order[j].  A district takes at most
+    `level` candidates: ℓ under a bound (a larger set cannot all win), else
+    |A|.  `sets[d]` holds the sets district d+1 accepts, and `fwd[c]` each
+    set that districts 1..c can take together, both as sorted masks with
+    the least price of each, within the budget only.  Layer c builds table
+    c when it first needs it, and keeps only the sets of at least
+    n - (k-c)·level candidates, as the k-c districts left take at most
+    level each.  The last district has no table: it is asked only about the
+    complements of the sets of `fwd[k-1]`.  `work` counts the oracle rows
+    asked and the disjoint pairs tried; past `limit` the DP stops with a
+    resource error.
 
-    Masks are int32 up to 30 candidates.  Prices take the narrowest
-    unsigned type that holds 2·cap + 1, one byte when unpriced: a stored
-    price is at most cap + 1 ("over budget"), so adding two never wraps.
+    Masks are int32 up to 30 candidates and int64 up to 63.  Prices take
+    the narrowest unsigned type that holds 2·cap + 1, one byte when
+    unpriced: a stored price is at most cap + 1 ("over budget"), so adding
+    two never wraps.
     """
 
-    def __init__(self, inst: RecampaignInstance, order: list[str]) -> None:
+    def __init__(
+        self, inst: RecampaignInstance, order: list[str], limit: float = math.inf
+    ) -> None:
         self.inst, self.order, self.n, self.k = inst, order, len(order), inst.k
-        if _budget_binds(inst):
-            self.prices = _price_matrix(inst, order, self.n)
-            self.cap = inst.pricing.budget
-        else:
-            self.prices = np.zeros((self.n, self.k), dtype=np.int64)
-            self.cap = 0
+        bound = inst.bound.limit if isinstance(inst.bound, AtMost) else self.n
+        self.level = min(bound, self.n)
+        self.limit, self.work = limit, 0
+        self.prices, self.cap = _price_matrix(inst, order, self.level)
+        if self.k > 1 and self.n > 63:  # one district needs no masks
+            raise ResourceBudgetError(f"{self.n} candidates exceed the 63 bits of a mask")
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
-        self.sets = self._tables()
+        self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
-    def _tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The sets each district but the last accepts within the budget,
-        with their prices; the tables are filled a chunk of masks at a time."""
-        if self.k == 1:
-            return []  # k^|A| = 1 does not bound |A|, so build no table
-        masks = [[] for _ in range(self.k - 1)]
-        costs = [[] for _ in range(self.k - 1)]
-        for start in range(0, 1 << self.n, _CHUNK_ROWS):
-            span = np.arange(start, min(start + _CHUNK_ROWS, 1 << self.n), dtype=self.word)
+    def _spend(self, work: int) -> None:
+        self.work += work
+        if self.work > self.limit:
+            raise ResourceBudgetError(f"the DP's work passed the node budget {self.limit}")
+
+    def _table(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sets district d (0-based) accepts within the budget, with
+        their prices; the oracle is asked a chunk of masks at a time."""
+        masks, costs = [], []
+        for span in _masks(self.n, self.level, self.word):
             placed = _mask_rows(span, self.n)
-            cost = placed @ self.prices[:, :-1]
-            for d in range(self.k - 1):
-                ok = (cost[:, d] <= self.cap).nonzero()[0]
-                ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
-                masks[d].append(span[ok])
-                costs[d].append(cost[ok, d].astype(self.price))
-        return [(np.concatenate(m), np.concatenate(c)) for m, c in zip(masks, costs)]
+            cost = placed @ self.prices[:, d]
+            ok = (cost <= self.cap).nonzero()[0]
+            self._spend(len(ok))
+            ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
+            masks.append(span[ok])
+            costs.append(cost[ok].astype(self.price))
+        return np.concatenate(masks), np.concatenate(costs)
+
+    def _pairs(self, left: np.ndarray, right: np.ndarray):
+        """Index pairs (i, j) with left[i] & right[j] == 0 for sorted masks,
+        a block of at most _CHUNK_ROWS tried pairs at a time, each tried
+        pair counted as work.  A set disjoint from L is at most full - L, so
+        a block of left masks tries only the right masks up to full minus
+        its least one."""
+        for r0 in range(0, len(right), _CHUNK_ROWS):
+            block = right[r0 : r0 + _CHUNK_ROWS]
+            l0 = 0
+            while l0 < len(left):
+                fits = block[: block.searchsorted(self.full - left[l0], "right")]
+                rows = left[l0 : l0 + _CHUNK_ROWS // max(1, len(fits))]
+                self._spend(len(rows) * len(fits))
+                i, j = ((rows[:, None] & fits) == 0).nonzero()
+                yield i + l0, j + r0
+                l0 += len(rows)
 
     def _forward(self, c: int) -> None:
-        if c == 1:
-            # from the empty set, district 1 reaches just the sets it accepts
-            self.fwd.append(self.sets[0])
+        sets, set_cost = self._table(c - 1)
+        self.sets.append((sets, set_cost))
+        floor = max(0, self.n - (self.k - c) * self.level)
+        if c == 1:  # from the empty set, district 1 reaches just the sets it accepts
+            keep = np.bitwise_count(sets) >= floor
+            self.fwd.append((sets[keep], set_cost[keep]))
             return
         left, left_cost = self.fwd[c - 1]
-        sets, set_cost = self.sets[c - 1]
-        best = np.full(1 << self.n, self.cap + 1, dtype=self.price)
-        for i, j in _disjoint_pairs(left, sets, self.full):
-            np.minimum.at(best, left[i] | sets[j], left_cost[i] + set_cost[j])
-        reach = (best <= self.cap).nonzero()[0].astype(self.word)
-        self.fwd.append((reach, best[reach]))
+        masks, costs, held = [left[:0]], [left_cost[:0]], 0
+        for i, j in self._pairs(left, sets):
+            union, price = left[i] | sets[j], left_cost[i] + set_cost[j]
+            keep = (price <= self.cap) & (np.bitwise_count(union) >= floor)
+            masks.append(union[keep])
+            costs.append(price[keep])
+            held += len(masks[-1])
+            if held > 4 * max(_CHUNK_ROWS, len(masks[0])):
+                # merge at 4x the merged sets: memory stays bounded, sorting linear
+                merged = _least(np.concatenate(masks), np.concatenate(costs))
+                masks, costs, held = [merged[0]], [merged[1]], 0
+        self.fwd.append(_least(np.concatenate(masks), np.concatenate(costs)))
 
     def _last_takes(self) -> tuple[int, int] | None:
         """The first set of `fwd[k-1]` whose complement the last district
@@ -626,6 +525,7 @@ class _PlacementDP:
             # clipped into the price type: a mixed sum would go through float64
             togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
             ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
+            self._spend(len(ok))
             ok = ok[_accepts(self.inst, self.k - 1, self.order, placed[ok])]
             if len(ok):
                 return int(reach[start + ok[0]]), self.cap - int(togo[ok[0]])
@@ -635,22 +535,29 @@ class _PlacementDP:
         """The district (1-based) of each candidate in a valid placement, or
         None if there is none.
 
-        The forward pass stops at the first layer e that covers every
-        candidate; otherwise the last district takes the complement of a
-        set of layer k-1.  Either way the final set is read back down the
-        layers: district c takes a set S it accepts such that the rest of
-        the set is in layer c-1 and the two prices fit the budget left."""
+        One district takes all of A or nothing.  Otherwise the forward pass
+        stops at the first layer e that covers every candidate, or with NO
+        at an empty layer; else the last district takes the complement of a
+        set of layer k-1.  The final set is read back down the layers:
+        district c takes a set S it accepts such that the rest of the set
+        is in layer c-1 and the two prices fit the budget left."""
+        if self.k == 1:
+            self._spend(1)
+            fits = self.level == self.n and self.prices[:, 0].sum() <= self.cap
+            everyone = np.ones((1, self.n), dtype=bool)
+            if fits and _accepts(self.inst, 0, self.order, everyone)[0]:
+                return [1] * self.n
+            return None
         e = 0
         while e < self.k - 1 and self.fwd[e][0][-1] != self.full:
             e += 1
             self._forward(e)
-        if self.fwd[e][0][-1] == self.full:
-            mask, left = self.full, self.cap
-        else:
-            found = self._last_takes()
-            if found is None:
+            if not len(self.fwd[e][0]):
                 return None
-            mask, left = found
+        found = (self.full, self.cap) if self.fwd[e][0][-1] == self.full else self._last_takes()
+        if found is None:
+            return None
+        mask, left = found
         districts = [self.k] * self.n
         c = e
         while mask:
@@ -695,10 +602,10 @@ def solve_brute(
     when unpriced, the least price within the budget when priced (the
     partition-into-accepted-blocks DP of Björklund, Husfeldt, Kaski and
     Koivisto, STOC 2007).  The witness, a valid placement, is read back
-    from the forward layers the decision built, and `nodes` is k^|A|, the
-    number of placements the DP stands for.  The DP is refused up front
-    (resource error) when k^|A| exceeds the node budget, as the placement
-    scan it replaced was, so exit codes do not change.
+    from the forward layers, and `nodes` is k^|A|, the number of
+    placements the DP stands for.  Refused (resource error) when k^|A|
+    exceeds the node budget, as the placement scan it replaced was, and
+    past 63 candidates in two or more districts.
     """
     budget = _resolve_budget(node_budget)
     order = sorted(inst.additional)
@@ -714,6 +621,106 @@ def solve_brute(
     if districts is None:
         return _reject("brute", stats)
     return _accept(inst, dict(zip(order, districts)), "brute", stats)
+
+
+# ---------------------------------------------------------------------------
+# Bounded variants: the exact-cover system and the FPT route
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoverMember:
+    """One admissible choice for one district: place exactly `placed` there.
+
+    As a set-cover element it stands for {tag_district} ∪ placed inside the
+    universe A ∪ {tags}; the tag forces exactly one member per district.
+    """
+
+    district: int
+    placed: frozenset[str]
+    weight: int
+
+
+@dataclass(frozen=True)
+class CoverSystem:
+    additional: frozenset[str]
+    district_tags: tuple[int, ...]
+    members: tuple[CoverMember, ...]
+    budget: int
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.additional) + len(self.district_tags)
+
+
+def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
+    """The admissible (district, placed-set) members, over the sets of at
+    most ℓ candidates that the DP's tables of `solve_fpt` enumerate.
+
+    A nonempty set A′ is admissible for district i when every member of A′
+    wins the district election with exactly A′ added, the winner count stays
+    within the bound, and its price fits the budget on its own (costlier
+    members could never join a within-budget cover).  The empty set is
+    admissible everywhere.  The instance decides Yes iff some selection of
+    one member per district has pairwise-disjoint placed sets covering A
+    with total weight within budget.  Weights are exact Python ints.
+    """
+    if not isinstance(inst.bound, AtMost):
+        raise WrongVariantError("the cover system is defined for bounded instances")
+    if inst.pricing is None:
+        raise PreconditionError("price the instance first (see lift_to_priced)")
+    order = sorted(inst.additional)
+    n = len(order)
+    masks = np.concatenate(list(_masks(n, min(inst.bound.limit, n), np.dtype(np.int64))))
+    placed = _mask_rows(masks, n)
+    sets = [frozenset(itertools.compress(order, row)) for row in placed.tolist()]
+    budget = inst.pricing.budget
+    members = []
+    for d in range(inst.k):
+        for r in _accepts(inst, d, order, placed).nonzero()[0].tolist():
+            weight = sum(inst.pricing.price(d + 1, a) for a in sets[r])
+            if weight <= budget:
+                members.append(CoverMember(d + 1, sets[r], weight))
+    return CoverSystem(
+        frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget
+    )
+
+
+def solve_fpt(
+    inst: RecampaignInstance, node_budget: int | None = None
+) -> SolveResult:
+    """Decide any bounded variant: guard, then the subset DP at level ℓ.
+
+    More than k·ℓ additional candidates can never all win (each touched
+    district holds at most ℓ of them), so such instances are rejected
+    outright.  Otherwise `solve_brute`'s DP decides over the sets of at
+    most ℓ candidates, the members of the exact-cover system.  It is
+    refused up front (resource error) when its k·Σ_{s≤ℓ} C(|A|, s) oracle
+    rows exceed the node budget, and stops with the same error once its
+    work, reported as `nodes`, exceeds it.  `members` counts the accepted
+    sets in the tables the DP built.
+    """
+    if not isinstance(inst.bound, AtMost):
+        raise WrongVariantError("solve_fpt decides only bounded variants")
+    budget = _resolve_budget(node_budget)
+    order = sorted(inst.additional)
+    n = len(order)
+    level = inst.bound.limit
+    if n > inst.k * level:
+        return _reject("fpt", {"nodes": 0, "members": 0, "guard": 1})
+    rows = inst.k * sum(math.comb(n, s) for s in range(min(level, n) + 1))
+    if rows > budget:
+        raise ResourceBudgetError(
+            f"{rows} cover members to check exceed the node budget {budget}"
+        )
+    _probe_explicit_vectors(inst, min(level, n))
+    dp = _PlacementDP(inst, order, budget)
+    districts = dp.placement()
+    members = sum(len(masks) for masks, _ in dp.sets)
+    stats = {"nodes": dp.work, "members": members, "guard": 0}
+    if districts is None:
+        return _reject("fpt", stats)
+    return _accept(inst, dict(zip(order, districts)), "fpt", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -747,18 +754,9 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
             for take3 in range(len(hosts[3]) + 1):
                 scanned += 1
                 if take1 + 2 * take2 + 3 * take3 == n:
-                    order = sorted(inst.additional)
-                    placement = {}
-                    feed = iter(order)
-                    for i in hosts[1][:take1]:
-                        placement[next(feed)] = i
-                    for i in hosts[2][:take2]:
-                        placement[next(feed)] = i
-                        placement[next(feed)] = i
-                    for i in hosts[3][:take3]:
-                        placement[next(feed)] = i
-                        placement[next(feed)] = i
-                        placement[next(feed)] = i
+                    takes = zip((1, 2, 3), (take1, take2, take3))
+                    slots = [i for room, t in takes for i in hosts[room][:t] for _ in range(room)]
+                    placement = dict(zip(sorted(inst.additional), slots))
                     return _accept(inst, placement, "e1-bound3", {"nodes": scanned})
     return _reject("e1-bound3", {"nodes": scanned})
 

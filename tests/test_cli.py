@@ -7,6 +7,7 @@ import pytest
 
 from recamp import (
     AtMost,
+    Borda,
     District,
     LinearVote,
     OneInThreeSatInstance,
@@ -120,6 +121,17 @@ class TestSolve:
         path.write_text(render_instance(huge_price_instance(2**70, 2**65, bound)))
         assert main(["solve", str(path)]) == 2
         assert "int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [63, 64])
+    def test_one_district_takes_every_candidate(self, run, tmp_path, count):
+        # Past 63 candidates no mask fits int64; one district needs none.
+        arrivals = frozenset(f"a{j:02d}" for j in range(count))
+        inst = RecampaignInstance(Borda(), (District([]),), arrivals, UNBOUNDED)
+        path = tmp_path / "one.json"
+        path.write_text(render_instance(inst))
+        code, out = run("solve", path)
+        assert code == 0
+        assert json.loads(out)["assignment"]["placement"] == {a: 1 for a in arrivals}
 
     def test_wrong_variant_is_usage_error(self, run, worked_example_file, capsys):
         code = main(["solve", str(worked_example_file), "--algorithm", "crc1"])

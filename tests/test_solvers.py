@@ -21,6 +21,7 @@ from recamp import (
     Election,
     ExplicitScoringFamily,
     LinearVote,
+    MissingVectorError,
     Pricing,
     PreconditionError,
     RandomInstanceParams,
@@ -31,7 +32,9 @@ from recamp import (
     TVeto,
     UNBOUNDED,
     WrongVariantError,
+    X3CInstance,
     build_exact_cover_system,
+    decide_x3c,
     random_instance,
     solve_auto,
     solve_brute,
@@ -42,6 +45,7 @@ from recamp import (
     solve_trivial_scoring,
     verify,
     winners,
+    x3c_to_approval,
 )
 from recamp import solvers
 from recamp.solvers import _accepts
@@ -319,18 +323,79 @@ class TestSolveFpt:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, seed):
+        # n reaches k·ℓ, where the layers are pruned to the sets that leave
+        # at most ℓ candidates per district to come; k^n stays within 3^6.
         rng = random.Random(seed)
         rule = rng.choice([TApproval(1), TApproval(2), Borda(), Condorcet(), E1()])
+        k = rng.randint(1, 3)
+        level = rng.randint(1, 3 if k < 3 else 2)
         params = RandomInstanceParams(
-            districts=rng.randint(1, 3),
-            additional=rng.randint(0, 4),
+            districts=k,
+            additional=rng.randint(0, k * level),
             rule=rule,
-            bound=AtMost(rng.randint(1, 3)),
+            bound=AtMost(level),
             priced=bool(rng.getrandbits(1)),
         )
         inst = random_instance(params, seed)
         answer = checked(inst, solve_fpt(inst)).answer
-        assert answer == solve_brute(inst).answer == placement_scan(inst)[0]
+        assert answer == checked(inst, solve_brute(inst)).answer == placement_scan(inst)[0]
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_decides_the_x3c_gadget_past_the_placement_budget(self, planted):
+        # m = 5 with 7 triples: k = 7, n = 15, so k^n ≈ 4.7·10¹² placements.
+        universe = [f"u{i}" for i in range(1, 16)]
+        cover = [universe[i : i + 3] for i in range(0, 15, 3)]
+        if not planted:
+            cover[-1] = ["u1", "u14", "u15"]
+        src = X3CInstance(universe, cover + [["u1", "u4", "u7"], ["u2", "u8", "u13"]])
+        inst = x3c_to_approval(src, 2, AtMost(3))
+        assert (inst.k, len(inst.additional)) == (7, 15)
+        with pytest.raises(ResourceBudgetError):
+            solve_brute(inst)
+        result = checked(inst, solve_fpt(inst))
+        assert result.answer == decide_x3c(src) == planted
+
+    def test_probes_explicit_vectors_up_to_the_bound(self):
+        # Vectors for 1 and 2 candidates only.  Under bound 2 no empty
+        # district holds 3, so fpt decides where brute, probing up to |A|,
+        # reports the missing vector.
+        rule = ExplicitScoringFamily([[1], [1, 0]])
+        inst = RecampaignInstance(rule, (District([]),) * 3, frozenset("abc"), AtMost(2))
+        assert checked(inst, solve_fpt(inst)).answer
+        with pytest.raises(MissingVectorError):
+            solve_brute(inst)
+        # District 1 takes {a, b} and the DP stops at layer 1, but district
+        # 2 could hold x, a and b under the bound: the probe reports it.
+        inst = RecampaignInstance(
+            rule, (District([]), District(["x"])), frozenset("ab"), AtMost(2)
+        )
+        with pytest.raises(MissingVectorError):
+            solve_fpt(inst)
+        assert not checked(inst, solve_fpt(dataclasses.replace(inst, bound=AtMost(1)))).answer
+
+    def test_an_empty_layer_answers_no(self):
+        # Bound 1, three candidates, three districts: layer 1 keeps only
+        # sets of at least one candidate, and district 1 accepts none.
+        inst = RecampaignInstance(
+            TApproval(1),
+            (TestSolveBrute._takes("xabc"), District([]), District([])),
+            frozenset("abc"),
+            AtMost(1),
+        )
+        dp = solvers._PlacementDP(inst, ["a", "b", "c"])
+        assert dp.placement() is None
+        assert len(dp.sets) == 1 and len(dp.fwd[1][0]) == 0
+        assert checked(inst, solve_fpt(inst)).answer is placement_scan(inst)[0] is False
+
+    def test_past_63_candidates_is_refused(self):
+        # 40 vote-less 1-approval districts take any two of 64 candidates
+        # under bound 2, but a mask holds at most 63.
+        arrivals = frozenset(f"a{j:02d}" for j in range(64))
+        inst = RecampaignInstance(TApproval(1), (District([]),) * 40, arrivals, AtMost(2))
+        with pytest.raises(ResourceBudgetError, match="63"):
+            solve_fpt(inst)
+        with pytest.raises(ResourceBudgetError, match="63"):
+            solve_brute(inst, node_budget=40**64)
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=100, deadline=None)
@@ -356,20 +421,28 @@ class TestSolveFpt:
             solve_fpt(inst)
 
     def test_node_budget(self):
-        # Condorcet over empty, vote-less districts accepts only singletons,
-        # so the search tries all 4 × 4 member pairs before answering NO:
-        # 2·8 cover members to check, 20 member visits.
-        inst = RecampaignInstance(
+        # Condorcet over empty, vote-less districts accepts only singletons.
+        # With two districts the DP has 2·8 cover members to check.
+        two = RecampaignInstance(
             Condorcet(), (District([]), District([])), frozenset("abc"), AtMost(3)
         )
         with pytest.raises(ResourceBudgetError, match="cover members"):
-            solve_fpt(inst, node_budget=15)
-        with pytest.raises(ResourceBudgetError, match="visited more than 19"):
-            solve_fpt(inst, node_budget=19)
-        result = solve_fpt(inst, node_budget=20)
-        assert not result.answer and result.statistics["nodes"] == 20
-        with pytest.raises(ResourceBudgetError):
-            solve_auto(inst, node_budget=16)
+            solve_fpt(two, node_budget=15)
+        with pytest.raises(ResourceBudgetError, match="cover members"):
+            solve_auto(two, node_budget=15)
+        # Three districts: 3·8 members up front.  The DP asks 8 + 8 oracle
+        # rows for two tables, tries 4·4 pairs for layer 2 (7 sets), and asks
+        # the last district about their 7 complements: 39 units of work.
+        three = dataclasses.replace(two, districts=(District([]),) * 3)
+        with pytest.raises(ResourceBudgetError, match="cover members"):
+            solve_fpt(three, node_budget=23)
+        for budget in (24, 30, 38):
+            with pytest.raises(ResourceBudgetError, match="work passed the node budget"):
+                solve_fpt(three, node_budget=budget)
+        result = checked(three, solve_fpt(three, node_budget=39))
+        assert result.answer
+        assert result.statistics == {"nodes": 39, "members": 8, "guard": 0}
+        assert sorted(result.assignment.placement.values()) == [1, 2, 3]
 
 
 def _random_rule(rng: random.Random, max_size: int):
@@ -457,6 +530,7 @@ class TestSolveBrute:
         dp = solvers._PlacementDP(inst, ["a", "b"])
         assert dp.placement() == [1, 2]
         assert len(dp.fwd) == 3
+        assert len(dp.sets) == 2  # district 3's table is never built
         result = checked(inst, solve_brute(inst))
         assert result.assignment.placement == {"a": 1, "b": 2}
         assert result.statistics == {"nodes": 4**2, "placements": 4**2}
