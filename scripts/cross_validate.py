@@ -8,7 +8,11 @@ which is also the route `solve_auto` takes for the unbounded variants
 without a polynomial method), and with `placement_scan` from
 `tests/oracles.py`, which checks every placement with `verify` and shares
 no code with the solvers' district oracle.  Bounded draws, bound 1
-included, are also decided by `solve_fpt` directly.  Every YES must report
+included, are also decided by `solve_fpt` directly, and every draw once
+more by `solve_brute` with each district's ballots cast twice: doubling
+keeps every scoring winner and every strict majority, so the answer must
+not change, and the oracle's ballot blocks then hold repeated ballots.
+Every YES must report
 the cost `verify` computes for its witness, and on the matching routes
 (`crc1-matching`, `b-matching`) that cost must be the scan's minimum.
 Reports per-rule agreement, yes-rates, and which routes fired.  Exits
@@ -20,6 +24,7 @@ test.
 
 import argparse
 import collections
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -29,6 +34,7 @@ from recamp import (
     AtMost,
     Borda,
     Condorcet,
+    District,
     E1,
     E2,
     RandomInstanceParams,
@@ -76,6 +82,12 @@ def cost_errors(inst, result, best_cost) -> list[str]:
     return errors
 
 
+def doubled(inst):
+    """The instance with each district's ballots cast twice."""
+    districts = tuple(District(d.candidates, d.votes * 2) for d in inst.districts)
+    return dataclasses.replace(inst, districts=districts)
+
+
 def run(args: argparse.Namespace) -> int:
     import random
 
@@ -109,6 +121,11 @@ def run(args: argparse.Namespace) -> int:
             errors = cost_errors(inst, fast, best_cost) + cost_errors(inst, slow, best_cost)
             if not fast.answer == slow.answer == scan:
                 errors.append(f"auto={fast.answer} brute={slow.answer} scan={scan}")
+            twice_inst = doubled(inst)
+            twice = solve_brute(twice_inst, node_budget=args.node_budget)
+            errors += cost_errors(twice_inst, twice, best_cost)
+            if twice.answer != scan:
+                errors.append(f"brute with doubled ballots={twice.answer} scan={scan}")
             if params.bound != UNBOUNDED:
                 t3 = time.perf_counter()
                 fpt = solve_fpt(inst, node_budget=args.node_budget)

@@ -168,19 +168,39 @@ def _price_matrix(
 # The district oracle
 # ---------------------------------------------------------------------------
 
-_SCORE_SENTINEL = np.iinfo(np.int64).min // 4
+# The most cells (ballots × candidates × columns) one numpy op of the
+# oracle's kernels covers; a table at least this large goes a ballot at a time.
+_BLOCK_CELLS = 1 << 16
+
+
+def _ballots(votes, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, pos): perms[v, p] is the candidate at position p of ballot v,
+    and pos[v, c] the position of candidate c, its inverse."""
+    perms = np.array(
+        [[index[c] for c in vote.order] for vote in votes], dtype=np.intp
+    ).reshape(len(votes), len(index))
+    return perms, perms.argsort(axis=1)
 
 
 def _scoring_winners(
-    rule, votes, index: dict[str, int], present: np.ndarray, size: np.ndarray
+    rule, perms: np.ndarray, pos: np.ndarray, present: np.ndarray, size: np.ndarray
 ) -> np.ndarray:
     """winner[c, r]: c wins the scoring election on the candidates present in column r.
 
-    `present` is candidates-major, one column per placed set, so a ballot is
-    ranked by one cumsum down axis 0 across every set at once.  The ranks
-    are narrow unsigned integers that never exceed the candidate count, so
-    the cumsum adds them as lanes of 64-bit words, several sets per add,
-    with no carry crossing from one lane into the next."""
+    `present` is candidates-major, one column per placed set.  A block of
+    ballots, at most _BLOCK_CELLS cells and at least one ballot, is ranked
+    at once: each ballot takes the rows of `present` in its order, and a
+    running sum along the positions gives every candidate its rank in every
+    set.  The ranks are narrow unsigned integers that never exceed the
+    candidate count, so the sum adds them as lanes of 64-bit words, several
+    sets per add, with no carry crossing from one lane into the next.  They
+    are gathered back to candidate order by the inverse permutation, and the
+    points are taken from them and summed over the block.  An absent
+    candidate's rank is garbage, masked once at the end.
+
+    Except under an explicit family the tallies stay narrow: a tally never
+    exceeds ballots × candidates.  Borda sums the ranks, as a column's
+    points are size - rank: the least rank sum scores the most."""
     width, rows = present.shape
     rank = np.min_scalar_type(width)
     pad = -rows % (8 // rank.itemsize)
@@ -192,41 +212,55 @@ def _scoring_winners(
         for m in np.unique(size).tolist():
             if m >= 1:
                 alpha[m, 1 : m + 1] = scoring_vector(rule, m)
-    elif isinstance(rule, TVeto):
-        cutoff = size - rule.t
-    scores = np.zeros(present.shape, dtype=np.int64)
+        tally = np.dtype(np.int64)
+    else:
+        tally = np.promote_types(np.uint16, np.min_scalar_type(len(perms) * width))
+        if isinstance(rule, TVeto):
+            cutoff = np.maximum(size - rule.t, 0).astype(rank)
     ones = present.astype(rank)
-    for vote in votes:
-        perm = np.fromiter((index[c] for c in vote.order), dtype=np.intp, count=width)
-        pv = ones[perm]
-        ranks = pv.view(np.uint64).cumsum(axis=0, dtype=np.uint64).view(rank)
+    block = max(1, _BLOCK_CELLS // max(1, ones.size))
+    scores = np.zeros(present.shape, dtype=tally)
+    for start in range(0, len(perms), block):
+        lanes = ones[perms[start : start + block]].view(np.uint64)
+        if block > 1:
+            lanes = lanes.cumsum(axis=1, dtype=np.uint64)
+        else:  # cumsum's inner loops run down one short column at a time
+            for p in range(1, width):
+                lanes[0, p] += lanes[0, p - 1]
+        inv = pos[start : start + block]
+        ranks = lanes.view(rank)[np.arange(len(inv))[:, None], inv]
         if isinstance(rule, TApproval):
-            pts = pv & (ranks <= rule.t)
+            scores += (ranks <= rule.t).sum(axis=0, dtype=tally)
         elif isinstance(rule, TVeto):
-            pts = pv & (ranks <= cutoff)
+            scores += (ranks <= cutoff).sum(axis=0, dtype=tally)
         elif isinstance(rule, Borda):
-            pts = (size - ranks) * pv
+            scores += ranks.sum(axis=0, dtype=tally)
         else:  # ExplicitScoringFamily
-            pts = alpha[size, ranks] * pv
-        scores[perm] += pts
-    masked = np.where(present, scores, _SCORE_SENTINEL)
-    winner = present & (masked == masked.max(axis=0, initial=_SCORE_SENTINEL))
+            scores += alpha[size, ranks].sum(axis=0)
+    if isinstance(rule, Borda):
+        scores = len(perms) * width - scores
+    low = np.iinfo(tally).min
+    masked = np.where(present, scores, low)
+    winner = present & (masked == masked.max(axis=0, initial=low))
     return winner[:, :rows]
 
 
-def _condorcet_winners(votes, index: dict[str, int], present: np.ndarray) -> np.ndarray:
+def _condorcet_winners(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
     """winner[c, r]: c beats every other candidate present in column r.
 
     Restricting a ballot keeps its pairwise order, so one majority matrix
-    over the full pool serves every column."""
-    width = len(present)
+    over the full pool serves every column.  It is summed from the ballots'
+    positions a block of at most _BLOCK_CELLS comparisons at a time.  The
+    unbeaten count is a float32 product, exact since no count exceeds the
+    candidate count, far below 2²⁴."""
+    votes, width = pos.shape
     above = np.zeros((width, width), dtype=np.int64)
-    for vote in votes:
-        pos = np.empty(width, dtype=np.int64)
-        pos[[index[c] for c in vote.order]] = np.arange(width)
-        above += pos[:, None] < pos[None, :]
-    misses = (2 * above <= len(votes)) & ~np.eye(width, dtype=bool)
-    unbeaten = misses.astype(np.int64) @ present.astype(np.int64)
+    block = max(1, _BLOCK_CELLS // max(1, width * width))
+    for start in range(0, votes, block):
+        at = pos[start : start + block]
+        above += (at[:, :, None] < at[:, None, :]).sum(axis=0)
+    misses = (2 * above <= votes) & ~np.eye(width, dtype=bool)
+    unbeaten = misses.astype(np.float32) @ present.astype(np.float32)
     return present & (unbeaten == 0)
 
 
@@ -256,13 +290,14 @@ def _accepts(
         index = {c: j for j, c in enumerate(own + order)}
         present = np.ones((len(index), len(placed)), dtype=bool)
         present[len(own):] = placed.T
+        perms, pos = _ballots(district.votes, index)
         if isinstance(rule, Condorcet):
-            winner = _condorcet_winners(district.votes, index, present)
+            winner = _condorcet_winners(pos, present)
         elif isinstance(rule, E2):
-            winner = _scoring_winners(TApproval(1), district.votes, index, present, size)
+            winner = _scoring_winners(TApproval(1), perms, pos, present, size)
             winner[:, size >= 4] = present[:, size >= 4]
         else:
-            winner = _scoring_winners(rule, district.votes, index, present, size)
+            winner = _scoring_winners(rule, perms, pos, present, size)
         placed_win = (winner[len(own):] | ~present[len(own):]).all(axis=0)
         win_count = winner.sum(axis=0)
     verdict = placed_win
@@ -431,7 +466,9 @@ class _PlacementDP:
     the least price of each, within the budget only.  Layer c builds table
     c when it first needs it, and keeps only the sets of at least
     n - (k-c)·level candidates, as the k-c districts left take at most
-    level each.  The last district has no table: it is asked only about the
+    level each.  The masks of the tables come a _CHUNK_ROWS chunk at a
+    time; a lone chunk is kept, with its prices in every district, as
+    `lone`.  The last district has no table: it is asked only about the
     complements of the sets of `fwd[k-1]`.  `work` counts the oracle rows
     asked and the disjoint pairs tried; past `limit` the DP stops with a
     resource error.
@@ -455,6 +492,7 @@ class _PlacementDP:
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
+        self.lone: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
@@ -463,18 +501,36 @@ class _PlacementDP:
         if self.work > self.limit:
             raise ResourceBudgetError(f"the DP's work passed the node budget {self.limit}")
 
+    def _clip(self, cost: np.ndarray) -> np.ndarray:
+        """Price sums clipped to cap + 1 ("over budget") in the price type."""
+        return np.minimum(cost, self.cap + 1).astype(self.price)
+
+    def _chunks(self, d: int):
+        """Each chunk of masks with its rows and their prices in district d.
+        A lone chunk is enumerated once, with its prices in every district,
+        and kept for every table; more chunks are enumerated again for each
+        table, so memory stays bounded."""
+        if self.lone is None:
+            for i, span in enumerate(_masks(self.n, self.level, self.word)):
+                placed = _mask_rows(span, self.n)
+                if i == 0 and len(span) < _CHUNK_ROWS:  # the only chunk
+                    self.lone = span, placed, self._clip(placed @ self.prices)
+                    break
+                yield span, placed, self._clip(placed @ self.prices[:, d])
+        if self.lone is not None:
+            span, placed, cost = self.lone
+            yield span, placed, cost[:, d]
+
     def _table(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The sets district d (0-based) accepts within the budget, with
         their prices; the oracle is asked a chunk of masks at a time."""
         masks, costs = [], []
-        for span in _masks(self.n, self.level, self.word):
-            placed = _mask_rows(span, self.n)
-            cost = placed @ self.prices[:, d]
+        for span, placed, cost in self._chunks(d):
             ok = (cost <= self.cap).nonzero()[0]
             self._spend(len(ok))
             ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
             masks.append(span[ok])
-            costs.append(cost[ok].astype(self.price))
+            costs.append(cost[ok])
         return np.concatenate(masks), np.concatenate(costs)
 
     def _pairs(self, left: np.ndarray, right: np.ndarray):
@@ -523,7 +579,7 @@ class _PlacementDP:
         for start in range(0, len(reach), _CHUNK_ROWS):
             placed = _mask_rows(self.full ^ reach[start : start + _CHUNK_ROWS], self.n)
             # clipped into the price type: a mixed sum would go through float64
-            togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
+            togo = self._clip(placed @ self.prices[:, -1])
             ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
             self._spend(len(ok))
             ok = ok[_accepts(self.inst, self.k - 1, self.order, placed[ok])]

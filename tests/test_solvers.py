@@ -340,20 +340,43 @@ class TestSolveFpt:
         answer = checked(inst, solve_fpt(inst)).answer
         assert answer == checked(inst, solve_brute(inst)).answer == placement_scan(inst)[0]
 
-    @pytest.mark.parametrize("planted", [True, False])
-    def test_decides_the_x3c_gadget_past_the_placement_budget(self, planted):
-        # m = 5 with 7 triples: k = 7, n = 15, so k^n ≈ 4.7·10¹² placements.
+    @staticmethod
+    def _x3c_gadget(planted):
+        """m = 5 with 7 triples: k = 7, n = 15, so k^n ≈ 4.7·10¹² placements."""
         universe = [f"u{i}" for i in range(1, 16)]
         cover = [universe[i : i + 3] for i in range(0, 15, 3)]
         if not planted:
             cover[-1] = ["u1", "u14", "u15"]
         src = X3CInstance(universe, cover + [["u1", "u4", "u7"], ["u2", "u8", "u13"]])
-        inst = x3c_to_approval(src, 2, AtMost(3))
+        return src, x3c_to_approval(src, 2, AtMost(3))
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_decides_the_x3c_gadget_past_the_placement_budget(self, planted):
+        src, inst = self._x3c_gadget(planted)
         assert (inst.k, len(inst.additional)) == (7, 15)
         with pytest.raises(ResourceBudgetError):
             solve_brute(inst)
         result = checked(inst, solve_fpt(inst))
         assert result.answer == decide_x3c(src) == planted
+
+    @pytest.mark.parametrize("planted", [True, False])
+    @pytest.mark.parametrize("chunk", [64, 1 << 14])
+    def test_masks_are_enumerated_once_when_one_chunk_holds_them(self, planted, chunk):
+        # The 576 sets of at most 3 of the 15 candidates: one chunk is
+        # enumerated once for every table, 64-mask chunks again per table.
+        src, inst = self._x3c_gadget(planted)
+        calls = []
+        masks = solvers._masks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_CHUNK_ROWS", chunk)
+            mp.setattr(solvers, "_masks", lambda *args: calls.append(args) or masks(*args))
+            result = checked(inst, solve_fpt(inst))
+            enumerated = len(calls)
+            dp = solvers._PlacementDP(inst, sorted(inst.additional))
+            dp.placement()
+        assert result.answer == decide_x3c(src) == planted
+        assert len(dp.sets) >= 5
+        assert enumerated == (1 if chunk > 576 else len(dp.sets))
 
     def test_probes_explicit_vectors_up_to_the_bound(self):
         # Vectors for 1 and 2 candidates only.  Under bound 2 no empty
@@ -468,27 +491,45 @@ class TestDistrictOracle:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_accepts_matches_winners_on_every_subset(self, seed):
+        """Every placed set against `winners`, with ballot blocks of one
+        ballot (a cell cap of 1), of part of a district and of a whole
+        district.  Some ballots repeat, and a Condorcet district has an even
+        voter count, where a tie meets 2·above ≤ V."""
         rng = random.Random(seed)
-        n = rng.randint(0, 4)
+        n = rng.randint(0, 6)
+        rule = Condorcet() if rng.random() < 0.25 else _random_rule(rng, 3 + n)
         params = RandomInstanceParams(
             districts=rng.randint(1, 3),
             additional=n,
-            rule=_random_rule(rng, 3 + n),
-            max_votes=rng.randint(0, 4),
+            rule=rule,
+            max_votes=rng.randint(0, 6),
             bound=rng.choice([AtMost(1), AtMost(2), AtMost(3), UNBOUNDED]),
         )
         inst = random_instance(params, seed)
+        districts = []
+        for district in inst.districts:
+            votes = list(district.votes)
+            if votes:
+                votes += rng.choices(votes, k=rng.randint(0, 3))
+                if isinstance(rule, Condorcet) and len(votes) % 2:
+                    votes.append(rng.choice(votes))
+            districts.append(District(district.candidates, votes))
+        inst = dataclasses.replace(inst, districts=tuple(districts))
         order = sorted(inst.additional)
         rows = np.array(
             list(itertools.product([False, True], repeat=n)), dtype=bool
         ).reshape(2**n, n)
         for d in range(inst.k):
-            got = _accepts(inst, d, order, rows)
-            for row, verdict in zip(rows, got):
+            want = []
+            for row in rows:
                 placed = frozenset(a for a, bit in zip(order, row) if bit)
                 w = winners(inst.rule, inst.election_with(d + 1, placed))
                 within = inst.bound == UNBOUNDED or len(w) <= inst.bound.limit
-                assert verdict == (not placed or (placed <= w and within))
+                want.append(not placed or (placed <= w and within))
+            for cells in (1, 2**9, solvers._BLOCK_CELLS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(solvers, "_BLOCK_CELLS", cells)
+                    assert _accepts(inst, d, order, rows).tolist() == want
 
 
 class TestSolveBrute:
@@ -683,6 +724,8 @@ class TestSolveBrute:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_CHUNK_ROWS", 4)
             result = checked(inst, solve_brute(inst))
+            if inst.bound != UNBOUNDED:
+                assert checked(inst, solve_fpt(inst)).answer == result.answer
         assert result.answer == placement_scan(inst)[0]
         total = inst.k ** len(inst.additional)
         assert result.statistics == {"nodes": total, "placements": total}
