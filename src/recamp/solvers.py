@@ -172,6 +172,8 @@ def _price_matrix(
 # oracle's kernels covers; a table at least this large goes a ballot at a time.
 _BLOCK_CELLS = 1 << 16
 
+_SCORE_SENTINEL = np.iinfo(np.int64).min // 4
+
 
 def _ballots(votes, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """(perms, pos): perms[v, p] is the candidate at position p of ballot v,
@@ -189,18 +191,14 @@ def _scoring_winners(
 
     `present` is candidates-major, one column per placed set.  A block of
     ballots, at most _BLOCK_CELLS cells and at least one ballot, is ranked
-    at once: each ballot takes the rows of `present` in its order, and a
-    running sum along the positions gives every candidate its rank in every
-    set.  The ranks are narrow unsigned integers that never exceed the
-    candidate count, so the sum adds them as lanes of 64-bit words, several
-    sets per add, with no carry crossing from one lane into the next.  They
-    are gathered back to candidate order by the inverse permutation, and the
-    points are taken from them and summed over the block.  An absent
-    candidate's rank is garbage, masked once at the end.
-
-    Except under an explicit family the tallies stay narrow: a tally never
-    exceeds ballots × candidates.  Borda sums the ranks, as a column's
-    points are size - rank: the least rank sum scores the most."""
+    at once: each ballot takes the rows of `present` in its order, and one
+    cumsum along the positions gives every candidate its rank in every set.
+    The ranks are narrow unsigned integers that never exceed the candidate
+    count, so the cumsum adds them as lanes of 64-bit words, several sets
+    per add, with no carry crossing from one lane into the next.  They are
+    gathered back to candidate order by the inverse permutation, and the
+    points are taken from them and summed over the block into the scores.
+    An absent candidate's rank is garbage, masked once at the end."""
     width, rows = present.shape
     rank = np.min_scalar_type(width)
     pad = -rows % (8 // rank.itemsize)
@@ -212,36 +210,27 @@ def _scoring_winners(
         for m in np.unique(size).tolist():
             if m >= 1:
                 alpha[m, 1 : m + 1] = scoring_vector(rule, m)
-        tally = np.dtype(np.int64)
-    else:
-        tally = np.promote_types(np.uint16, np.min_scalar_type(len(perms) * width))
-        if isinstance(rule, TVeto):
-            cutoff = np.maximum(size - rule.t, 0).astype(rank)
+    elif isinstance(rule, TVeto):
+        cutoff = np.maximum(size - rule.t, 0).astype(rank)
     ones = present.astype(rank)
     block = max(1, _BLOCK_CELLS // max(1, ones.size))
-    scores = np.zeros(present.shape, dtype=tally)
+    scores = np.zeros(present.shape, dtype=np.int64)
     for start in range(0, len(perms), block):
         lanes = ones[perms[start : start + block]].view(np.uint64)
-        if block > 1:
-            lanes = lanes.cumsum(axis=1, dtype=np.uint64)
-        else:  # cumsum's inner loops run down one short column at a time
-            for p in range(1, width):
-                lanes[0, p] += lanes[0, p - 1]
+        lanes = lanes.cumsum(axis=1, dtype=np.uint64)
         inv = pos[start : start + block]
         ranks = lanes.view(rank)[np.arange(len(inv))[:, None], inv]
         if isinstance(rule, TApproval):
-            scores += (ranks <= rule.t).sum(axis=0, dtype=tally)
+            points = ranks <= rule.t
         elif isinstance(rule, TVeto):
-            scores += (ranks <= cutoff).sum(axis=0, dtype=tally)
+            points = ranks <= cutoff
         elif isinstance(rule, Borda):
-            scores += ranks.sum(axis=0, dtype=tally)
+            points = size - ranks
         else:  # ExplicitScoringFamily
-            scores += alpha[size, ranks].sum(axis=0)
-    if isinstance(rule, Borda):
-        scores = len(perms) * width - scores
-    low = np.iinfo(tally).min
-    masked = np.where(present, scores, low)
-    winner = present & (masked == masked.max(axis=0, initial=low))
+            points = alpha[size, ranks]
+        scores += points.sum(axis=0, dtype=np.int64)
+    masked = np.where(present, scores, _SCORE_SENTINEL)
+    winner = present & (masked == masked.max(axis=0, initial=_SCORE_SENTINEL))
     return winner[:, :rows]
 
 
@@ -467,11 +456,10 @@ class _PlacementDP:
     c when it first needs it, and keeps only the sets of at least
     n - (k-c)·level candidates, as the k-c districts left take at most
     level each.  The masks of the tables come a _CHUNK_ROWS chunk at a
-    time; a lone chunk is kept, with its prices in every district, as
-    `lone`.  The last district has no table: it is asked only about the
-    complements of the sets of `fwd[k-1]`.  `work` counts the oracle rows
-    asked and the disjoint pairs tried; past `limit` the DP stops with a
-    resource error.
+    time; a lone chunk is kept, with its rows, as `lone`.  The last
+    district has no table: it is asked only about the complements of the
+    sets of `fwd[k-1]`.  `work` counts the oracle rows asked and the
+    disjoint pairs tried; past `limit` the DP stops with a resource error.
 
     Masks are int32 up to 30 candidates and int64 up to 63.  Prices take
     the narrowest unsigned type that holds 2·cap + 1, one byte when
@@ -492,7 +480,7 @@ class _PlacementDP:
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
-        self.lone: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.lone: tuple[np.ndarray, np.ndarray] | None = None
         self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
@@ -501,36 +489,30 @@ class _PlacementDP:
         if self.work > self.limit:
             raise ResourceBudgetError(f"the DP's work passed the node budget {self.limit}")
 
-    def _clip(self, cost: np.ndarray) -> np.ndarray:
-        """Price sums clipped to cap + 1 ("over budget") in the price type."""
-        return np.minimum(cost, self.cap + 1).astype(self.price)
-
-    def _chunks(self, d: int):
-        """Each chunk of masks with its rows and their prices in district d.
-        A lone chunk is enumerated once, with its prices in every district,
-        and kept for every table; more chunks are enumerated again for each
-        table, so memory stays bounded."""
-        if self.lone is None:
-            for i, span in enumerate(_masks(self.n, self.level, self.word)):
-                placed = _mask_rows(span, self.n)
-                if i == 0 and len(span) < _CHUNK_ROWS:  # the only chunk
-                    self.lone = span, placed, self._clip(placed @ self.prices)
-                    break
-                yield span, placed, self._clip(placed @ self.prices[:, d])
+    def _chunks(self):
+        """Each chunk of masks with its rows.  A lone chunk is enumerated
+        once and kept for every table; more chunks are enumerated again for
+        each table, so memory stays bounded."""
         if self.lone is not None:
-            span, placed, cost = self.lone
-            yield span, placed, cost[:, d]
+            yield self.lone
+            return
+        for i, span in enumerate(_masks(self.n, self.level, self.word)):
+            chunk = span, _mask_rows(span, self.n)
+            if i == 0 and len(span) < _CHUNK_ROWS:  # the only chunk
+                self.lone = chunk
+            yield chunk
 
     def _table(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The sets district d (0-based) accepts within the budget, with
         their prices; the oracle is asked a chunk of masks at a time."""
         masks, costs = [], []
-        for span, placed, cost in self._chunks(d):
+        for span, placed in self._chunks():
+            cost = placed @ self.prices[:, d]
             ok = (cost <= self.cap).nonzero()[0]
             self._spend(len(ok))
             ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
             masks.append(span[ok])
-            costs.append(cost[ok])
+            costs.append(cost[ok].astype(self.price))
         return np.concatenate(masks), np.concatenate(costs)
 
     def _pairs(self, left: np.ndarray, right: np.ndarray):
@@ -579,7 +561,7 @@ class _PlacementDP:
         for start in range(0, len(reach), _CHUNK_ROWS):
             placed = _mask_rows(self.full ^ reach[start : start + _CHUNK_ROWS], self.n)
             # clipped into the price type: a mixed sum would go through float64
-            togo = self._clip(placed @ self.prices[:, -1])
+            togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
             ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
             self._spend(len(ok))
             ok = ok[_accepts(self.inst, self.k - 1, self.order, placed[ok])]
