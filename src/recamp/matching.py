@@ -8,18 +8,20 @@ Two entry points, both exact:
   incident edge units (parallel edges may be used up to their multiplicity),
   minimising total weight, or None when infeasible.
 
-Both reduce to min-cost flow solved by successive shortest augmenting paths
-with Dijkstra over reduced costs (weights are required nonnegative, and the
-potentials keep reduced costs nonnegative throughout).  Ties between equal
-length paths break toward the lowest vertex id, so results are deterministic
-in the input order of vertices and edges.
+Both reduce to min-cost flow, solved by the primal-dual method: a
+Dijkstra search over reduced costs reprices the nodes once per distinct
+shortest-path length, then a blocking flow on the tight arcs routes every
+shortest path of that length.  Weights must be nonnegative; costs and
+potentials stay exact Python ints, so weights of any size are exact.  Arcs
+are scanned in the input order of vertices and edges, so equal inputs give
+equal results.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ShapeError
 
@@ -82,7 +84,13 @@ class MatchingResult:
 
 
 class _MinCostFlow:
-    """Successive-shortest-paths min-cost flow on a small dense-ish graph."""
+    """Primal-dual min-cost flow (Ahuja, Magnanti and Orlin, *Network
+    Flows*, 1993, §9.8) on arcs of nonnegative cost.
+
+    `potential` is kept after `run`: every arc with residual capacity has
+    a reduced cost cost + potential[tail] - potential[head] >= 0, which
+    certifies that the flow is the cheapest of its value.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -90,6 +98,7 @@ class _MinCostFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
+        self.potential = [0] * n
 
     def add_arc(self, u: int, v: int, cap: int, cost: int) -> int:
         arc = len(self.to)
@@ -103,55 +112,99 @@ class _MinCostFlow:
         self.cost.append(-cost)
         return arc
 
-    def run(self, s: int, t: int, want: int | None = None) -> tuple[int, int]:
-        """Push flow from s to t, cheapest paths first.
-
-        Stops at max flow, or once `want` units are routed.  Returns
-        (flow, cost).
-        """
+    def run(self, s: int, t: int, want: int | None = None) -> int:
+        """Push flow from s to t, cheapest paths first, one reprice per
+        path length.  Stops at max flow, or once `want` units are routed.
+        Returns the flow."""
+        if want is None:
+            want = sum(self.cap[arc] for arc in self.head[s])
         flow = 0
-        total = 0
-        potential = [0] * self.n
-        while want is None or flow < want:
-            dist = [None] * self.n  # type: list[int | None]
-            prev_arc = [-1] * self.n
-            dist[s] = 0
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if dist[u] is not None and d > dist[u]:
-                    continue
-                for arc in self.head[u]:
-                    if self.cap[arc] <= 0:
-                        continue
-                    v = self.to[arc]
-                    nd = d + self.cost[arc] + potential[u] - potential[v]
+        while flow < want and self._reprice(s, t):
+            flow += self._block(s, t, want - flow)
+        return flow
+
+    def _reprice(self, s: int, t: int) -> bool:
+        """Dijkstra on reduced costs, stopped once t is settled; each
+        potential then rises by min(dist(v), dist(t)), which keeps every
+        residual arc's reduced cost >= 0 and makes the shortest s-t paths
+        tight.  False, with the potentials unchanged, if t is unreachable."""
+        head, to, cap, cost, pot = self.head, self.to, self.cap, self.cost, self.potential
+        dist: list[int | None] = [None] * self.n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u == t:
+                break
+            if d > dist[u]:
+                continue
+            base = d + pot[u]
+            for arc in head[u]:
+                if cap[arc] > 0:
+                    v = to[arc]
+                    nd = base + cost[arc] - pot[v]
                     if dist[v] is None or nd < dist[v]:
                         dist[v] = nd
-                        prev_arc[v] = arc
                         heapq.heappush(heap, (nd, v))
-            if dist[t] is None:
+        else:
+            return False
+        for v, dv in enumerate(dist):
+            pot[v] += d if dv is None or dv > d else dv
+        return True
+
+    def _block(self, s: int, t: int, room: int) -> int:
+        """Dinic on the tight arcs (capacity left, reduced cost 0): a BFS
+        level graph, then depth-first augmentations along current-arc
+        pointers, until t leaves the tight subgraph or `room` units are
+        pushed.  Returns the units pushed."""
+        head, to, cap, cost, pot = self.head, self.to, self.cap, self.cost, self.potential
+        pushed = 0
+        while pushed < room:
+            level = [-1] * self.n
+            level[s] = 0
+            forward: list[Sequence[int]] = [()] * self.n
+            queue = [s]
+            for u in queue:  # every tight arc one level up, in head order
+                if level[u] == level[t]:
+                    break  # no shortest path runs past t's level
+                up, pu, ups = level[u] + 1, pot[u], []
+                forward[u] = ups
+                for arc in head[u]:
+                    if cap[arc] > 0 and cost[arc] + pu == pot[to[arc]]:
+                        v = to[arc]
+                        if level[v] < 0:
+                            level[v] = up
+                            queue.append(v)
+                        if level[v] == up:
+                            ups.append(arc)
+            if level[t] < 0:
                 break
-            for v in range(self.n):
-                if dist[v] is not None:
-                    potential[v] += dist[v]
-            push = float("inf")
-            v = t
-            while v != s:
-                arc = prev_arc[v]
-                push = min(push, self.cap[arc])
-                v = self.to[arc ^ 1]
-            if want is not None:
-                push = min(push, want - flow)
-            v = t
-            while v != s:
-                arc = prev_arc[v]
-                self.cap[arc] -= push
-                self.cap[arc ^ 1] += push
-                total += push * self.cost[arc]
-                v = self.to[arc ^ 1]
-            flow += push
-        return flow, total
+            nxt = [0] * self.n
+            path: list[int] = []
+            u = s
+            while pushed < room:
+                if u == t:
+                    push = min(room - pushed, min(cap[arc] for arc in path))
+                    for arc in path:
+                        cap[arc] -= push
+                        cap[arc ^ 1] += push
+                    pushed += push
+                    path.clear()
+                    u = s
+                    continue
+                arcs, i = forward[u], nxt[u]
+                while i < len(arcs) and not cap[arcs[i]]:
+                    i += 1
+                nxt[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif u == s:
+                    break
+                else:
+                    u = to[path.pop() ^ 1]
+                    nxt[u] += 1
+        return pushed
 
     def arc_flow(self, arc: int) -> int:
         return self.cap[arc ^ 1]
@@ -236,8 +289,7 @@ def min_weight_perfect_b_matching(
         arc_of.append(net.add_arc(left_ix[e.left], right_ix[e.right], e.multiplicity, e.weight))
     for name, ix in right_ix.items():
         net.add_arc(ix, 1, b[name], 0)
-    flow, _ = net.run(0, 1, want=need_left)
-    if flow < need_left:
+    if net.run(0, 1, want=need_left) < need_left:
         return None
     result = _collect(g, net, arc_of)
     if result.weight > cap:

@@ -7,12 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recamp import (
+    AtMost,
     BipartiteMultigraph,
+    Borda,
+    District,
     Edge,
+    LinearVote,
+    Pricing,
+    RecampaignInstance,
     ShapeError,
+    TrivialScoring,
     min_cost_max_cardinality_matching,
     min_weight_perfect_b_matching,
+    solve_crc1,
+    solve_trivial_scoring,
 )
+from recamp import matching
 
 from oracles import b_matching_optimum, matching_optimum, random_degrees, random_graph
 
@@ -191,6 +201,116 @@ class TestPerfectBMatching:
         assert min_weight_perfect_b_matching(g, b, best + 1).weight == best
         if best > 0:
             assert min_weight_perfect_b_matching(g, b, best - 1) is None
+
+
+def large_graph(rng):
+    """Up to 40 x 12 vertices with parallel edges, multiplicities up to 3
+    and weights both tiny (many ties) and far beyond int64; the degree
+    targets are those of a random b-matching, so they can be met."""
+    left = [f"l{i}" for i in range(rng.randint(1, 40))]
+    right = [f"r{i}" for i in range(rng.randint(1, 12))]
+    edges = [
+        Edge(
+            rng.choice(left),
+            rng.choice(right),
+            rng.choice((rng.randint(0, 4), rng.randint(0, 10**30))),
+            rng.randint(1, 3),
+        )
+        for _ in range(rng.randint(0, 4 * len(left)))
+    ]
+    b = dict.fromkeys(left + right, 0)
+    for e in edges:
+        used = rng.randint(0, e.multiplicity)
+        b[e.left] += used
+        b[e.right] += used
+    return BipartiteMultigraph(left, right, edges), b
+
+
+def assert_certified(net, s=0, t=1, maximum=False):
+    """The kept potentials certify a min-cost flow: every arc with
+    capacity left has a reduced cost >= 0.  For a maximum flow, t is also
+    out of reach in the residual graph."""
+    pot = net.potential
+    for arc, v in enumerate(net.to):
+        if net.cap[arc] > 0:
+            assert net.cost[arc] + pot[net.to[arc ^ 1]] - pot[v] >= 0
+    if maximum:
+        reached, stack = {s}, [s]
+        while stack:
+            u = stack.pop()
+            for arc in net.head[u]:
+                if net.cap[arc] > 0 and net.to[arc] not in reached:
+                    reached.add(net.to[arc])
+                    stack.append(net.to[arc])
+        assert t not in reached
+
+
+def instance(rng, rule, k, n, votes, bound):
+    """k districts of 0-3 own candidates (2 each when there are ballots) and
+    n additional candidates priced 1-20 under a budget no placement hits."""
+    extra = [f"a{j}" for j in range(n)]
+    districts = []
+    for i in range(k):
+        own = [f"d{i}c{j}" for j in range(2 if votes else rng.randint(0, 3))]
+        pool = own + extra
+        ballots = [LinearVote(rng.sample(pool, len(pool))) for _ in range(votes)]
+        districts.append(District(own, ballots))
+    prices = {(i, a): rng.randint(1, 20) for i in range(1, k + 1) for a in extra}
+    pricing = Pricing(prices, 10**6)
+    return RecampaignInstance(rule, tuple(districts), frozenset(extra), AtMost(bound), pricing)
+
+
+class TestPrimalDual:
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_potentials_certify_optimality(self, seed):
+        g, b = large_graph(random.Random(seed))
+        nets = []
+        run = matching._MinCostFlow.run
+
+        def kept(net, *args, **kwargs):
+            nets.append(net)
+            return run(net, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matching._MinCostFlow, "run", kept)
+            min_cost_max_cardinality_matching(g)
+            assert_certified(nets[-1], maximum=True)
+            cap = sum(e.weight * e.multiplicity for e in g.edges)
+            result = min_weight_perfect_b_matching(g, b, cap)
+            assert_certified(nets[-1])
+        degree = dict.fromkeys(b, 0)
+        for e, used in result.chosen:
+            degree[e.left] += used
+            degree[e.right] += used
+        assert degree == b
+
+    @pytest.mark.parametrize(
+        "seed, rule, k, n, votes, bound, solve, most",
+        [
+            # 103 augmenting paths
+            (0, TrivialScoring(), 10, 100, 0, 15, solve_trivial_scoring, 25),
+            # 40 augmenting paths, then a search that finds t cut off
+            (2, Borda(), 40, 40, 5, 1, solve_crc1, 20),
+        ],
+    )
+    def test_one_reprice_per_path_length(
+        self, monkeypatch, seed, rule, k, n, votes, bound, solve, most
+    ):
+        """One reprice serves every augmenting path of one length, so the
+        searches are far fewer than the 103 and 41 that one search per
+        augmenting path makes (9 and 12 at the time of writing)."""
+        calls = []
+        reprice = matching._MinCostFlow._reprice
+
+        def counted(net, s, t):
+            calls.append(s)
+            return reprice(net, s, t)
+
+        monkeypatch.setattr(matching._MinCostFlow, "_reprice", counted)
+        result = solve(instance(random.Random(seed), rule, k, n, votes, bound))
+        assert result.answer
+        assert len(calls) <= most
 
 
 class TestGraphValidation:
