@@ -464,8 +464,7 @@ class _PlacementDP:
     Masks are int32 up to 30 candidates and int64 up to 63.  Prices take
     the narrowest unsigned type that holds 2·cap + 1, one byte when
     unpriced: a stored price is at most cap + 1 ("over budget"), so adding
-    two never wraps.  When every price is 0 (`priced` is false) the tables
-    take zeros and skip the price product.
+    two never wraps.
     """
 
     def __init__(
@@ -476,7 +475,6 @@ class _PlacementDP:
         self.level = min(bound, self.n)
         self.limit, self.work = limit, 0
         self.prices, self.cap = _price_matrix(inst, order, self.level)
-        self.priced = bool(self.prices.any())
         if self.k > 1 and self.n > 63:  # one district needs no masks
             raise ResourceBudgetError(f"{self.n} candidates exceed the 63 bits of a mask")
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
@@ -509,7 +507,7 @@ class _PlacementDP:
         their prices; the oracle is asked a chunk of masks at a time."""
         masks, costs = [], []
         for span, placed in self._chunks():
-            cost = placed @ self.prices[:, d] if self.priced else np.zeros(len(span), self.price)
+            cost = placed @ self.prices[:, d]
             ok = (cost <= self.cap).nonzero()[0]
             self._spend(len(ok))
             ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
@@ -562,10 +560,8 @@ class _PlacementDP:
         reach, reach_cost = self.fwd[-1]
         for start in range(0, len(reach), _CHUNK_ROWS):
             placed = _mask_rows(self.full ^ reach[start : start + _CHUNK_ROWS], self.n)
-            if self.priced:  # clipped into the price type: a mixed sum would go through float64
-                togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
-            else:
-                togo = np.zeros(len(placed), self.price)
+            # clipped into the price type: a mixed sum would go through float64
+            togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
             ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
             self._spend(len(ok))
             ok = ok[_accepts(self.inst, self.k - 1, self.order, placed[ok])]
