@@ -8,16 +8,18 @@ which is also the route `solve_auto` takes for the unbounded variants
 without a polynomial method), and with `placement_scan` from
 `tests/oracles.py`, which checks every placement with `verify` and shares
 no code with the solvers' district oracle.  Bounded draws, bound 1
-included, are also decided by `solve_fpt` directly, and every draw once
-more by `solve_brute` with each district's ballots cast twice: doubling
-keeps every scoring winner and every strict majority, so the answer must
-not change, and the oracle's ballot blocks then hold repeated ballots.
-Every YES must report
-the cost `verify` computes for its witness, and on the matching routes
-(`crc1-matching`, `b-matching`) that cost must be the scan's minimum.
+included, are also decided by `solve_fpt` directly; past its n > k·ℓ guard
+it runs the DP of `solve_brute`, so the two must return the same
+assignment, cost and `nodes`.  Every draw is decided once more by
+`solve_brute` with each district's ballots cast twice: doubling keeps
+every scoring winner and every strict majority, so the answer must not
+change, and the oracle's ballot blocks then hold repeated ballots.  Every
+YES must report the cost `verify` computes for its witness, and on the
+matching routes (`crc1-matching`, `b-matching`) that cost must be the
+scan's minimum.
 Reports per-rule agreement, yes-rates, and which routes fired.  Exits
-nonzero if any answer or cost disagrees, so the script doubles as a soak
-test.
+nonzero if any answer, cost or fpt-brute result disagrees, so the script
+doubles as a soak test.
 
     python3 scripts/cross_validate.py --trials 400 --seed 7
 """
@@ -133,6 +135,11 @@ def run(args: argparse.Namespace) -> int:
                 errors += cost_errors(inst, fpt, best_cost)
                 if fpt.answer != scan:
                     errors.append(f"fpt={fpt.answer} scan={scan}")
+                if not fpt.statistics["guard"] and (
+                    (fpt.assignment, fpt.cost, fpt.statistics["nodes"])
+                    != (slow.assignment, slow.cost, slow.statistics["nodes"])
+                ):
+                    errors.append(f"fpt and brute differ: {fpt} vs {slow}")
             if errors:
                 disagree += 1
                 failures += 1

@@ -6,10 +6,10 @@ Entry points (all return a `SolveResult`):
 - `solve_trivial_scoring` trivial scoring rule, any bound: perfect b-matching.
 - `solve_fpt`             bounded variant, any rule: guard n ≤ k·ℓ, then the
                           subset DP over the sets of at most ℓ candidates.
-- `solve_brute`           any variant: a subset DP over (district, covered
-                          set) on the verdict tables, the reference for the
-                          rest; its witness is read back from the DP's
-                          forward layers, and `nodes` is k^|A|.
+- `solve_brute`           any variant: the same subset DP over (district,
+                          covered set) on the verdict tables, the reference
+                          for the rest; its witness is read back from the
+                          DP's forward layers.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
 - `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
 - `solve_auto`            dispatches to the cheapest applicable method.
@@ -21,9 +21,10 @@ S ⊆ A does district i accept, electing all of S within the bound?  `verify`
 stays on the object path as the independent referee for every YES, and
 every reported cost is the one `verify` computes, in Python ints.  Prices
 enter int64 clipped to budget + 1, since a price above the budget is never
-paid.  fpt stops once the DP's work, the oracle rows asked plus the
-disjoint pairs tried, exceeds the node budget; brute still refuses when
-k^|A| exceeds it, as the placement scan it replaced did.
+paid.  The DP holds the node budget for `solve_brute` and `solve_fpt`
+alike: it refuses up front when the oracle rows its tables can ask exceed
+the budget, and stops once its work, the oracle rows asked plus the
+disjoint pairs tried, exceeds it; that work is their `nodes`.
 """
 
 from __future__ import annotations
@@ -110,6 +111,18 @@ def _resolve_budget(node_budget: int | None) -> int:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A decision, its witness on YES, and the route's statistics.
+
+    `statistics["nodes"]` is the route's unit of work:
+    - `brute` and `fpt`: the DP's work, the oracle rows asked plus the
+      disjoint pairs tried (1 for a single district), the quantity the node
+      budget limits; 0 when fpt's n > k·ℓ guard answers;
+    - `crc1-matching`: the n·k singleton rows asked of the oracle;
+    - `b-matching`: the k districts, one capacity each;
+    - `e1-bound3`: the combinations of district capacities tried;
+    - `e2-unbounded`: the placements checked, 1 when |A| ≥ 4.
+    """
+
     answer: bool
     assignment: Assignment | None
     algorithm: str
@@ -406,13 +419,6 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
 _CHUNK_ROWS = 1 << 14
 
 
-def _probe_explicit_vectors(inst: RecampaignInstance, n: int) -> None:
-    if isinstance(inst.rule, ExplicitScoringFamily):
-        for d in inst.districts:
-            for size in range(len(d.candidates), len(d.candidates) + n + 1):
-                scoring_vector(inst.rule, size)
-
-
 def _masks(n: int, level: int, word: np.dtype):
     """The masks of n bits with at most `level` of them set, in increasing
     order, a _CHUNK_ROWS chunk at a time.  Below n they are grown bit by
@@ -445,8 +451,8 @@ def _least(masks: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _PlacementDP:
-    """The subset DP of `solve_brute` and `solve_fpt`, and the read-back of
-    its witness.
+    """The subset DP of `solve_brute` and `solve_fpt`, the read-back of its
+    witness, and the node budget of both.
 
     Bit n-1-j of a mask stands for order[j].  A district takes at most
     `level` candidates: ℓ under a bound (a larger set cannot all win), else
@@ -458,8 +464,11 @@ class _PlacementDP:
     level each.  The masks of the tables come a _CHUNK_ROWS chunk at a
     time; a lone chunk is kept, with its rows, as `lone`.  The last
     district has no table: it is asked only about the complements of the
-    sets of `fwd[k-1]`.  `work` counts the oracle rows asked and the
-    disjoint pairs tried; past `limit` the DP stops with a resource error.
+    sets of `fwd[k-1]`.  `limit` is the node budget: the DP is refused up
+    front when its tables' (k-1)·Σ_{s≤level} C(n, s) rows exceed it (below
+    n, `_masks` holds a table's masks at once, so this guards memory too),
+    and stops once `work`, the oracle rows asked plus the disjoint pairs
+    tried, exceeds it; both raise a resource error.
 
     Masks are int32 up to 30 candidates and int64 up to 63.  Prices take
     the narrowest unsigned type that holds 2·cap + 1, one byte when
@@ -473,10 +482,17 @@ class _PlacementDP:
         self.inst, self.order, self.n, self.k = inst, order, len(order), inst.k
         bound = inst.bound.limit if isinstance(inst.bound, AtMost) else self.n
         self.level = min(bound, self.n)
-        self.limit, self.work = limit, 0
-        self.prices, self.cap = _price_matrix(inst, order, self.level)
         if self.k > 1 and self.n > 63:  # one district needs no masks
             raise ResourceBudgetError(f"{self.n} candidates exceed the 63 bits of a mask")
+        rows = (self.k - 1) * sum(math.comb(self.n, s) for s in range(self.level + 1))
+        if rows > limit:
+            raise ResourceBudgetError(f"{rows} table rows exceed the node budget {limit}")
+        if isinstance(inst.rule, ExplicitScoringFamily):  # a missing vector, up front
+            for own in sorted({len(d.candidates) for d in inst.districts}):
+                for size in range(own, own + self.level + 1):
+                    scoring_vector(inst.rule, size)
+        self.limit, self.work = limit, 0
+        self.prices, self.cap = _price_matrix(inst, order, self.level)
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
@@ -630,6 +646,20 @@ class _PlacementDP:
         raise AssertionError(f"no set of district {c} completes mask {mask}")
 
 
+def _solve_by_dp(
+    inst: RecampaignInstance, budget: int, algorithm: str, **extra: int
+) -> SolveResult:
+    """Run the DP under the node budget: `nodes` is its work, `members` the
+    accepted sets in the tables it built."""
+    order = sorted(inst.additional)
+    dp = _PlacementDP(inst, order, budget)
+    districts = dp.placement()
+    stats = {"nodes": dp.work, "members": sum(len(m) for m, _ in dp.sets), **extra}
+    if districts is None:
+        return _reject(algorithm, stats)
+    return _accept(inst, dict(zip(order, districts)), algorithm, stats)
+
+
 def solve_brute(
     inst: RecampaignInstance, node_budget: int | None = None
 ) -> SolveResult:
@@ -640,25 +670,10 @@ def solve_brute(
     when unpriced, the least price within the budget when priced (the
     partition-into-accepted-blocks DP of Björklund, Husfeldt, Kaski and
     Koivisto, STOC 2007).  The witness, a valid placement, is read back
-    from the forward layers, and `nodes` is k^|A|, the number of
-    placements the DP stands for.  Refused (resource error) when k^|A|
-    exceeds the node budget, as the placement scan it replaced was, and
-    past 63 candidates in two or more districts.
+    from the forward layers.  The DP holds the node budget (resource error
+    up front or partway, see `_PlacementDP`), and `nodes` is its work.
     """
-    budget = _resolve_budget(node_budget)
-    order = sorted(inst.additional)
-    n = len(order)
-    total = inst.k ** n
-    if total > budget:
-        raise ResourceBudgetError(
-            f"{inst.k}^{n} = {total} placements exceed the node budget {budget}"
-        )
-    _probe_explicit_vectors(inst, n)
-    stats = {"nodes": total, "placements": total}
-    districts = _PlacementDP(inst, order).placement()
-    if districts is None:
-        return _reject("brute", stats)
-    return _accept(inst, dict(zip(order, districts)), "brute", stats)
+    return _solve_by_dp(inst, _resolve_budget(node_budget), "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -731,34 +746,17 @@ def solve_fpt(
 
     More than k·ℓ additional candidates can never all win (each touched
     district holds at most ℓ of them), so such instances are rejected
-    outright.  Otherwise `solve_brute`'s DP decides over the sets of at
-    most ℓ candidates, the members of the exact-cover system.  It is
-    refused up front (resource error) when its k·Σ_{s≤ℓ} C(|A|, s) oracle
-    rows exceed the node budget, and stops with the same error once its
-    work, reported as `nodes`, exceeds it.  `members` counts the accepted
-    sets in the tables the DP built.
+    outright.  Otherwise `solve_brute` decides, with the label `fpt`: its
+    DP asks only about the sets of at most ℓ candidates, the members of
+    the exact-cover system, under the same node budget, and `nodes` is its
+    work.  `members` counts the accepted sets in the tables the DP built.
     """
     if not isinstance(inst.bound, AtMost):
         raise WrongVariantError("solve_fpt decides only bounded variants")
     budget = _resolve_budget(node_budget)
-    order = sorted(inst.additional)
-    n = len(order)
-    level = inst.bound.limit
-    if n > inst.k * level:
+    if len(inst.additional) > inst.k * inst.bound.limit:
         return _reject("fpt", {"nodes": 0, "members": 0, "guard": 1})
-    rows = inst.k * sum(math.comb(n, s) for s in range(min(level, n) + 1))
-    if rows > budget:
-        raise ResourceBudgetError(
-            f"{rows} cover members to check exceed the node budget {budget}"
-        )
-    _probe_explicit_vectors(inst, min(level, n))
-    dp = _PlacementDP(inst, order, budget)
-    districts = dp.placement()
-    members = sum(len(masks) for masks, _ in dp.sets)
-    stats = {"nodes": dp.work, "members": members, "guard": 0}
-    if districts is None:
-        return _reject("fpt", stats)
-    return _accept(inst, dict(zip(order, districts)), "fpt", stats)
+    return _solve_by_dp(inst, budget, "fpt", guard=0)
 
 
 # ---------------------------------------------------------------------------

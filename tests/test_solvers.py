@@ -324,7 +324,8 @@ class TestSolveFpt:
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, seed):
         # n reaches k·ℓ, where the layers are pruned to the sets that leave
-        # at most ℓ candidates per district to come; k^n stays within 3^6.
+        # at most ℓ candidates per district to come.  Within the guard fpt
+        # and brute are one engine: the same witness, cost and work.
         rng = random.Random(seed)
         rule = rng.choice([TApproval(1), TApproval(2), Borda(), Condorcet(), E1()])
         k = rng.randint(1, 3)
@@ -337,8 +338,12 @@ class TestSolveFpt:
             priced=bool(rng.getrandbits(1)),
         )
         inst = random_instance(params, seed)
-        answer = checked(inst, solve_fpt(inst)).answer
-        assert answer == checked(inst, solve_brute(inst)).answer == placement_scan(inst)[0]
+        fpt = checked(inst, solve_fpt(inst))
+        brute = checked(inst, solve_brute(inst))
+        assert fpt.answer == brute.answer == placement_scan(inst)[0]
+        assert fpt.statistics["guard"] == 0
+        same = (brute.assignment, brute.cost, brute.statistics["nodes"])
+        assert (fpt.assignment, fpt.cost, fpt.statistics["nodes"]) == same
 
     @staticmethod
     def _x3c_gadget(planted):
@@ -352,12 +357,19 @@ class TestSolveFpt:
 
     @pytest.mark.parametrize("planted", [True, False])
     def test_decides_the_x3c_gadget_past_the_placement_budget(self, planted):
+        # k^n is far past the node budget, but the DP's tables have at most
+        # 6·Σ_{s≤3} C(15, s) = 3,456 rows bounded and 6·2^15 = 196,608
+        # unbounded, and brute decides both, bounded with fpt's answer.
         src, inst = self._x3c_gadget(planted)
         assert (inst.k, len(inst.additional)) == (7, 15)
-        with pytest.raises(ResourceBudgetError):
-            solve_brute(inst)
         result = checked(inst, solve_fpt(inst))
         assert result.answer == decide_x3c(src) == planted
+        brute = checked(inst, solve_brute(inst))
+        same = (result.assignment, result.cost, result.statistics["nodes"])
+        assert (brute.assignment, brute.cost, brute.statistics["nodes"]) == same
+        unbounded = dataclasses.replace(inst, bound=UNBOUNDED)
+        result = checked(unbounded, solve_auto(unbounded))
+        assert (result.algorithm, result.answer) == ("brute", planted)
 
     @pytest.mark.parametrize("planted", [True, False])
     @pytest.mark.parametrize("chunk", [64, 1 << 14])
@@ -380,13 +392,14 @@ class TestSolveFpt:
 
     def test_probes_explicit_vectors_up_to_the_bound(self):
         # Vectors for 1 and 2 candidates only.  Under bound 2 no empty
-        # district holds 3, so fpt decides where brute, probing up to |A|,
-        # reports the missing vector.
+        # district holds 3, so fpt and brute decide; unbounded, brute
+        # probes up to |A| and reports the missing vector.
         rule = ExplicitScoringFamily([[1], [1, 0]])
         inst = RecampaignInstance(rule, (District([]),) * 3, frozenset("abc"), AtMost(2))
         assert checked(inst, solve_fpt(inst)).answer
+        assert checked(inst, solve_brute(inst)).answer
         with pytest.raises(MissingVectorError):
-            solve_brute(inst)
+            solve_brute(dataclasses.replace(inst, bound=UNBOUNDED))
         # District 1 takes {a, b} and the DP stops at layer 1, but district
         # 2 could hold x, a and b under the bound: the probe reports it.
         inst = RecampaignInstance(
@@ -445,21 +458,29 @@ class TestSolveFpt:
 
     def test_node_budget(self):
         # Condorcet over empty, vote-less districts accepts only singletons.
-        # With two districts the DP has 2·8 cover members to check.
+        # With two districts the DP's one table has 8 rows, admitted from a
+        # budget of 8.  It asks them, then asks the last district about the
+        # complements of layer 1's 4 sets (∅ and the singletons): 12 units
+        # of work for a NO.
         two = RecampaignInstance(
             Condorcet(), (District([]), District([])), frozenset("abc"), AtMost(3)
         )
-        with pytest.raises(ResourceBudgetError, match="cover members"):
-            solve_fpt(two, node_budget=15)
-        with pytest.raises(ResourceBudgetError, match="cover members"):
-            solve_auto(two, node_budget=15)
-        # Three districts: 3·8 members up front.  The DP asks 8 + 8 oracle
+        with pytest.raises(ResourceBudgetError, match="^8 table rows exceed the node budget 7$"):
+            solve_fpt(two, node_budget=7)
+        with pytest.raises(ResourceBudgetError, match="^8 table rows"):
+            solve_auto(two, node_budget=7)
+        with pytest.raises(ResourceBudgetError, match="work passed the node budget 11"):
+            solve_fpt(two, node_budget=11)
+        result = checked(two, solve_fpt(two, node_budget=12))
+        assert not result.answer
+        assert result.statistics == {"nodes": 12, "members": 4, "guard": 0}
+        # Three districts: 2·8 table rows up front.  The DP asks 8 + 8 oracle
         # rows for two tables, tries 4·4 pairs for layer 2 (7 sets), and asks
         # the last district about their 7 complements: 39 units of work.
         three = dataclasses.replace(two, districts=(District([]),) * 3)
-        with pytest.raises(ResourceBudgetError, match="cover members"):
-            solve_fpt(three, node_budget=23)
-        for budget in (24, 30, 38):
+        with pytest.raises(ResourceBudgetError, match="^16 table rows exceed the node budget 15$"):
+            solve_fpt(three, node_budget=15)
+        for budget in (16, 30, 38):
             with pytest.raises(ResourceBudgetError, match="work passed the node budget"):
                 solve_fpt(three, node_budget=budget)
         result = checked(three, solve_fpt(three, node_budget=39))
@@ -537,14 +558,15 @@ class TestSolveBrute:
         inst = RecampaignInstance(Borda(), (District(["a"]),), frozenset(), UNBOUNDED)
         result = checked(inst, solve_brute(inst))
         assert result.answer
-        assert result.statistics["placements"] == 1
+        assert result.statistics == {"nodes": 1, "members": 0}
 
     def test_one_district_needs_no_table(self):
-        # k^n = 1 within any budget, however many candidates arrive.
+        # (k-1)·2^n = 0 table rows and one unit of work, within the least
+        # budget however many candidates arrive.
         arrivals = frozenset(f"a{j}" for j in range(40))
         inst = RecampaignInstance(TrivialScoring(), (District([]),), arrivals, UNBOUNDED)
-        result = checked(inst, solve_brute(inst))
-        assert result.statistics == {"nodes": 1, "placements": 1}
+        result = checked(inst, solve_brute(inst, node_budget=1))
+        assert result.statistics == {"nodes": 1, "members": 0}
 
     def test_single_placement_failure(self):
         e = Election(["a", "b"], [LinearVote(["b", "a"]), LinearVote(["b", "a"])])
@@ -572,9 +594,13 @@ class TestSolveBrute:
         assert dp.placement() == [1, 2]
         assert len(dp.fwd) == 3
         assert len(dp.sets) == 2  # district 3's table is never built
-        result = checked(inst, solve_brute(inst))
+        # Two tables of 4 rows and 2·2 pairs tried: 12 units of work, the
+        # 3·4 table rows admitted exactly at a budget of 12.
+        with pytest.raises(ResourceBudgetError, match="^12 table rows exceed the node budget 11$"):
+            solve_brute(inst, node_budget=11)
+        result = checked(inst, solve_brute(inst, node_budget=12))
         assert result.assignment.placement == {"a": 1, "b": 2}
-        assert result.statistics == {"nodes": 4**2, "placements": 4**2}
+        assert result.statistics == {"nodes": 12, "members": 4}
 
     def test_last_district_takes_the_complement(self):
         # Only district 1 takes a, only district 3 takes b, and district 2
@@ -588,9 +614,10 @@ class TestSolveBrute:
         dp = solvers._PlacementDP(inst, ["a", "b"])
         assert dp.placement() == [1, 3]
         assert len(dp.fwd) == 3
+        # Two tables of 4 rows, 2·1 pairs and 2 complements asked: 12 units.
         result = checked(inst, solve_brute(inst))
         assert result.assignment.placement == {"a": 1, "b": 3}
-        assert result.statistics == {"nodes": 3**2, "placements": 3**2}
+        assert result.statistics == {"nodes": 12, "members": 3}
 
     @pytest.mark.parametrize("chunk", [4, 1 << 14])
     def test_priced_read_back_keeps_to_the_budget(self, chunk):
@@ -639,7 +666,9 @@ class TestSolveBrute:
 
     def test_many_districts_only_the_last_accepts(self):
         # k = 1200 and n = 2 is within the budget; the forward pass runs
-        # through every layer, and the last district takes both.
+        # through every layer, and the last district takes both.  Each of
+        # the 1199 tables asks 4 rows and keeps ∅, each layer after the
+        # first tries one pair, and the last district is asked once.
         k = 1200
         loser = District(["x"], [LinearVote(["x", "a", "b"])])
         inst = RecampaignInstance(
@@ -647,7 +676,7 @@ class TestSolveBrute:
         )
         result = checked(inst, solve_brute(inst))
         assert result.assignment.placement == {"a": k, "b": k}
-        assert result.statistics == {"nodes": k**2, "placements": k**2}
+        assert result.statistics == {"nodes": 4 * (k - 1) + (k - 2) + 1, "members": k - 1}
 
     @staticmethod
     def _dense(priced):
@@ -662,8 +691,9 @@ class TestSolveBrute:
         return RecampaignInstance(TrivialScoring(), districts, additional, UNBOUNDED, pricing)
 
     def test_dense_priced_no_stays_within_memory(self):
-        # Every placement costs 12 against a budget of 11; the DP expands
-        # about 3^12 disjoint pairs, a block at a time.
+        # Every placement costs 12 against a budget of 11; the DP asks the
+        # 4,095 rows within the budget for each of two tables and tries about
+        # 8.4 M pairs, a block at a time; no complement fits what is left.
         inst = self._dense(priced=True)
         tracemalloc.start()
         try:
@@ -672,7 +702,7 @@ class TestSolveBrute:
         finally:
             tracemalloc.stop()
         assert not result.answer
-        assert result.statistics == {"nodes": 3**12, "placements": 3**12}
+        assert result.statistics == {"nodes": 2 * 4095 + 8_420_278, "members": 2 * 4095}
         assert peak < 16 * 2**20
 
     def test_dense_yes_stops_at_the_first_layer(self):
@@ -684,7 +714,7 @@ class TestSolveBrute:
         priced = dataclasses.replace(priced, pricing=Pricing(priced.pricing.prices, 12))
         for inst, cost in ((plain, None), (priced, 12)):
             result = checked(inst, solve_brute(inst))
-            assert result.statistics == {"nodes": 3**12, "placements": 3**12}
+            assert result.statistics == {"nodes": 2**12, "members": 2**12}
             assert set(result.assignment.placement.values()) == {1}
             assert result.cost == cost
 
@@ -724,11 +754,16 @@ class TestSolveBrute:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_CHUNK_ROWS", 4)
             result = checked(inst, solve_brute(inst))
+            dp = solvers._PlacementDP(inst, sorted(inst.additional))
+            dp.placement()
             if inst.bound != UNBOUNDED:
-                assert checked(inst, solve_fpt(inst)).answer == result.answer
+                fpt = checked(inst, solve_fpt(inst))
+                if not fpt.statistics["guard"]:
+                    assert fpt.statistics == {**result.statistics, "guard": 0}
+                assert fpt.answer == result.answer
         assert result.answer == placement_scan(inst)[0]
-        total = inst.k ** len(inst.additional)
-        assert result.statistics == {"nodes": total, "placements": total}
+        members = sum(len(masks) for masks, _ in dp.sets)
+        assert result.statistics == {"nodes": dp.work, "members": members}
         if result.answer and inst.pricing is not None:
             assert result.cost <= inst.pricing.budget
 
