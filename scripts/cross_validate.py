@@ -16,7 +16,9 @@ every scoring winner and every strict majority, so the answer must not
 change, and the oracle's ballot blocks then hold repeated ballots.  Every
 YES must report the cost `verify` computes for its witness, and on the
 matching routes (`crc1-matching`, `b-matching`) that cost must be the
-scan's minimum.
+scan's minimum.  Every bound-1 draw under the trivial rule is decided by
+both matching engines, `solve_crc1` and `solve_trivial_scoring`, which
+must agree in answer and cost.
 Reports per-rule agreement, yes-rates, and which routes fired.  Exits
 nonzero if any answer, cost or fpt-brute result disagrees, so the script
 doubles as a soak test.
@@ -47,7 +49,9 @@ from recamp import (
     verify,
     solve_auto,
     solve_brute,
+    solve_crc1,
     solve_fpt,
+    solve_trivial_scoring,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -96,7 +100,7 @@ def run(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     print(f"{'rule':<12} {'trials':>6} {'yes':>5} {'disagree':>8} "
           f"{'auto ms':>8} {'brute ms':>9} {'fpt ms':>7}  routes")
-    failures = 0
+    failures = both_engines = 0
     for name, rule in RULES.items():
         routes: collections.Counter[str] = collections.Counter()
         yes = disagree = 0
@@ -140,6 +144,11 @@ def run(args: argparse.Namespace) -> int:
                     != (slow.assignment, slow.cost, slow.statistics["nodes"])
                 ):
                     errors.append(f"fpt and brute differ: {fpt} vs {slow}")
+            if isinstance(rule, TrivialScoring) and params.bound == AtMost(1):
+                both_engines += 1
+                crc1, bmatch = solve_crc1(inst), solve_trivial_scoring(inst)
+                if (crc1.answer, crc1.cost) != (bmatch.answer, bmatch.cost):
+                    errors.append(f"crc1={crc1} b-matching={bmatch}")
             if errors:
                 disagree += 1
                 failures += 1
@@ -151,6 +160,7 @@ def run(args: argparse.Namespace) -> int:
               f"{auto_time / args.trials * 1000:>8.2f} "
               f"{brute_time / args.trials * 1000:>9.2f} "
               f"{fpt_time / args.trials * 1000:>7.2f}  {route_note}")
+    print(f"\n{both_engines} bound-1 trivial-rule draws decided by both matching engines")
     if failures:
         print(f"\n{failures} disagreement(s) found", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from .errors import (
     ShapeError,
     UnknownCandidateError,
     UnsupportedRuleError,
+    is_int,
 )
 
 _TOKEN_RE = re.compile(r"[^\s,]+\Z")
@@ -120,7 +121,7 @@ class TApproval:
     t: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t, int) or self.t < 1:
+        if not is_int(self.t) or self.t < 1:
             raise ShapeError(f"t-approval needs an integer t >= 1, got {self.t!r}")
 
 
@@ -131,7 +132,7 @@ class TVeto:
     t: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t, int) or self.t < 1:
+        if not is_int(self.t) or self.t < 1:
             raise ShapeError(f"t-veto needs an integer t >= 1, got {self.t!r}")
 
 
@@ -159,7 +160,7 @@ class ExplicitScoringFamily:
         table = tuple(tuple(v) for v in vectors)
         object.__setattr__(self, "vectors", table)
         for m, vec in enumerate(table, start=1):
-            if len(vec) != m or not all(isinstance(x, int) for x in vec):
+            if len(vec) != m or not all(map(is_int, vec)):
                 raise ShapeError(
                     f"vector #{m} must be {m} integers, got {vec!r}"
                 )
@@ -331,7 +332,7 @@ def validate_purity(table: Sequence[Sequence[int]], m_max: int) -> bool:
     for m, vec in enumerate(vecs, start=1):
         if len(vec) != m:
             return False
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
+        if not all(map(is_int, vec)):
             return False
         if any(vec[i] < vec[i + 1] for i in range(len(vec) - 1)):
             return False

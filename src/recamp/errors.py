@@ -14,7 +14,8 @@ class RecampaignError(Exception):
 
 class ShapeError(RecampaignError):
     """A value is structurally malformed (bad names, broken invariants,
-    assignments over the wrong candidate set, unknown graph vertices, ...)."""
+    assignments over the wrong candidate set, graph endpoints out of range,
+    ...)."""
 
 
 class BallotTypeError(RecampaignError):
@@ -53,3 +54,10 @@ class ResourceBudgetError(RecampaignError):
 class TrivialityError(RecampaignError):
     """A scoring rule stayed trivial (single-valued vectors) for every probed
     number of candidates, so no separating vector exists below the cap."""
+
+
+def is_int(value: object) -> bool:
+    """True for an int that is not a bool: the one check every integer
+    field of the library applies, since True and False are ints to Python
+    but not to the file formats."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -40,7 +40,7 @@ from .core import (
     TVeto,
     VotingRule,
 )
-from .errors import ShapeError
+from .errors import ShapeError, is_int
 from .gadgets import OneInThreeSatInstance, R3DMInstance, X3CInstance
 from .model import (
     Assignment,
@@ -102,7 +102,7 @@ def _str_list(doc: dict[str, Any], key: str) -> list[str]:
 
 
 def _int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ShapeError(f"{what} must be an integer, got {value!r}")
     return value
 

@@ -1,6 +1,9 @@
 """Weighted bipartite matching engines on multigraphs.
 
-Two entry points, both exact:
+Vertices are positions: the left side is 0, 1, ... and so is the right
+side.  An edge is a `(left, right, weight, multiplicity)` tuple, and a
+result reports `used`, the units taken of each edge, in input order.  Two
+entry points, both exact:
 
 - `min_cost_max_cardinality_matching`: a maximum-cardinality matching of
   minimum total weight.
@@ -8,26 +11,24 @@ Two entry points, both exact:
   incident edge units (parallel edges may be used up to their multiplicity),
   minimising total weight, or None when infeasible.
 
-Both reduce to min-cost flow, solved by the primal-dual method: a
-Dijkstra search over reduced costs reprices the nodes once per distinct
-shortest-path length, then a blocking flow on the tight arcs routes every
-shortest path of that length.  Weights must be nonnegative; costs and
-potentials stay exact Python ints, so weights of any size are exact.  Arcs
-are scanned in the input order of vertices and edges, so equal inputs give
-equal results.
+Both build one min-cost flow network and solve it by the primal-dual
+method: a Dijkstra search over reduced costs reprices the nodes once per
+distinct shortest-path length, then a blocking flow on the tight arcs
+routes every shortest path of that length.  Weights must be nonnegative;
+costs and potentials stay exact Python ints, so weights of any size are
+exact.  Arcs are scanned in the input order of vertices and edges, so equal
+inputs give equal results.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .errors import ShapeError
+from .errors import ShapeError, is_int
 
 __all__ = [
-    "Edge",
-    "BipartiteMultigraph",
     "MatchingResult",
     "min_cost_max_cardinality_matching",
     "min_weight_perfect_b_matching",
@@ -35,52 +36,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Edge:
-    """An undirected weighted edge with a usage multiplicity."""
-
-    left: str
-    right: str
-    weight: int
-    multiplicity: int = 1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or self.weight < 0:
-            raise ShapeError(f"edge weight must be a nonnegative int, got {self.weight!r}")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise ShapeError(
-                f"edge multiplicity must be an int >= 1, got {self.multiplicity!r}"
-            )
-
-
-@dataclass(frozen=True)
-class BipartiteMultigraph:
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: tuple[Edge, ...]
-
-    def __init__(
-        self, left: Iterable[str], right: Iterable[str], edges: Iterable[Edge] = ()
-    ) -> None:
-        object.__setattr__(self, "left", tuple(left))
-        object.__setattr__(self, "right", tuple(right))
-        object.__setattr__(self, "edges", tuple(edges))
-        if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
-            raise ShapeError("vertex ids repeat within a side")
-        if set(self.left) & set(self.right):
-            raise ShapeError("left and right vertex ids must be disjoint")
-        lset, rset = set(self.left), set(self.right)
-        for e in self.edges:
-            if e.left not in lset or e.right not in rset:
-                raise ShapeError(f"edge {e.left}--{e.right} has an unknown endpoint")
-
-
-@dataclass(frozen=True)
 class MatchingResult:
-    """Chosen edges with how many units of each were used."""
+    """The units used of each edge, in input order, with their total count
+    and total weight."""
 
-    chosen: tuple[tuple[Edge, int], ...]
+    used: tuple[int, ...]
     cardinality: int
     weight: int
+
+
+Edges = Sequence[tuple[int, int, int, int]]
 
 
 class _MinCostFlow:
@@ -210,88 +175,74 @@ class _MinCostFlow:
         return self.cap[arc ^ 1]
 
 
-def _index_graph(g: BipartiteMultigraph) -> tuple[dict[str, int], dict[str, int], int]:
-    left_ix = {name: 2 + i for i, name in enumerate(g.left)}
-    right_ix = {name: 2 + len(g.left) + i for i, name in enumerate(g.right)}
-    return left_ix, right_ix, 2 + len(g.left) + len(g.right)
+def _flow(b_left: Sequence[int], b_right: Sequence[int], edges: Edges) -> MatchingResult:
+    """Build the flow network of a b-matching, push up to sum(b_left)
+    units through it, cheapest first, and read back each edge's units.
+
+    Node 0 is the source and node 1 the sink; left vertex u is node 2 + u
+    and right vertex v node 2 + len(b_left) + v.  The source feeds u with
+    b_left[u] units, v drains b_right[v] units into the sink, and edge j is
+    arc 2 * (len(b_left) + j), of its multiplicity and weight.
+    """
+    for target in (*b_left, *b_right):
+        if not is_int(target) or target < 0:
+            raise ShapeError(f"degree target must be a nonnegative int, got {target!r}")
+    n_left, n_right = len(b_left), len(b_right)
+    net = _MinCostFlow(2 + n_left + n_right)
+    for u, units in enumerate(b_left):
+        net.add_arc(0, 2 + u, units, 0)
+    for u, v, weight, multiplicity in edges:
+        if not (is_int(u) and is_int(v) and 0 <= u < n_left and 0 <= v < n_right):
+            raise ShapeError(f"edge {u!r}--{v!r} has an endpoint out of range")
+        if not is_int(weight) or weight < 0:
+            raise ShapeError(f"edge weight must be a nonnegative int, got {weight!r}")
+        if not is_int(multiplicity) or multiplicity < 1:
+            raise ShapeError(f"edge multiplicity must be an int >= 1, got {multiplicity!r}")
+        net.add_arc(2 + u, 2 + n_left + v, multiplicity, weight)
+    for v, units in enumerate(b_right):
+        net.add_arc(2 + n_left + v, 1, units, 0)
+    net.run(0, 1, sum(b_left))
+    used = tuple(net.arc_flow(2 * (n_left + j)) for j in range(len(edges)))
+    weight = sum(units * edge[2] for units, edge in zip(used, edges))
+    return MatchingResult(used, sum(used), weight)
 
 
-def _collect(g: BipartiteMultigraph, net: _MinCostFlow, arc_of: list[int]) -> MatchingResult:
-    chosen = []
-    cardinality = 0
-    weight = 0
-    for e, arc in zip(g.edges, arc_of):
-        used = net.arc_flow(arc)
-        if used > 0:
-            chosen.append((e, used))
-            cardinality += used
-            weight += used * e.weight
-    return MatchingResult(tuple(chosen), cardinality, weight)
-
-
-def min_cost_max_cardinality_matching(g: BipartiteMultigraph) -> MatchingResult:
-    """A maximum-cardinality matching of minimum total weight.
+def min_cost_max_cardinality_matching(left: int, right: int, edges: Edges) -> MatchingResult:
+    """A maximum-cardinality matching of minimum total weight between
+    `left` and `right` vertices.
 
     Multiplicities are honoured (an edge may be picked several times) but
     each vertex is still matched at most once overall, so multiplicities
     beyond 1 only matter through `min_weight_perfect_b_matching`; they are
     capped here by the endpoint capacities.
+
+    Raises:
+        ShapeError: a side size is not a nonnegative int, or an edge is
+            malformed as `min_weight_perfect_b_matching` says.
     """
-    left_ix, right_ix, n = _index_graph(g)
-    net = _MinCostFlow(n)
-    for name, ix in left_ix.items():
-        net.add_arc(0, ix, 1, 0)
-    arc_of = []
-    for e in g.edges:
-        arc_of.append(net.add_arc(left_ix[e.left], right_ix[e.right], e.multiplicity, e.weight))
-    for name, ix in right_ix.items():
-        net.add_arc(ix, 1, 1, 0)
-    net.run(0, 1)
-    return _collect(g, net, arc_of)
+    for size in (left, right):
+        if not is_int(size) or size < 0:
+            raise ShapeError(f"side size must be a nonnegative int, got {size!r}")
+    return _flow([1] * left, [1] * right, edges)
 
 
 def min_weight_perfect_b_matching(
-    g: BipartiteMultigraph, b: Mapping[str, int], cap: int
+    b_left: Sequence[int], b_right: Sequence[int], edges: Edges, cap: int
 ) -> MatchingResult | None:
     """Minimum-weight b-matching saturating every degree target, or None.
 
-    Every vertex v must be incident to exactly b(v) chosen edge units; the
-    result is None when no such matching exists or the cheapest one weighs
-    more than `cap`.
+    Left vertex u must be incident to exactly b_left[u] chosen edge units
+    and right vertex v to b_right[v]; the result is None when no such
+    matching exists or the cheapest one weighs more than `cap`.
 
     Raises:
-        ShapeError: `b` names an unknown vertex, misses one, or has a
-            negative target; or `cap` is not a nonnegative int.
+        ShapeError: `cap`, a degree target or an edge weight is not a
+            nonnegative int; a multiplicity is not an int >= 1; or an
+            endpoint is out of range.
     """
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+    if not is_int(cap) or cap < 0:
         raise ShapeError(f"cap must be a nonnegative int, got {cap!r}")
-    vertices = set(g.left) | set(g.right)
-    for name in b:
-        if name not in vertices:
-            raise ShapeError(f"degree constraint names unknown vertex {name!r}")
-    for name in vertices:
-        if name not in b:
-            raise ShapeError(f"degree constraint missing for vertex {name!r}")
-        if not isinstance(b[name], int) or b[name] < 0:
-            raise ShapeError(f"degree target for {name!r} must be a nonnegative int")
-
-    need_left = sum(b[name] for name in g.left)
-    need_right = sum(b[name] for name in g.right)
-    if need_left != need_right:
-        return None
-
-    left_ix, right_ix, n = _index_graph(g)
-    net = _MinCostFlow(n)
-    for name, ix in left_ix.items():
-        net.add_arc(0, ix, b[name], 0)
-    arc_of = []
-    for e in g.edges:
-        arc_of.append(net.add_arc(left_ix[e.left], right_ix[e.right], e.multiplicity, e.weight))
-    for name, ix in right_ix.items():
-        net.add_arc(ix, 1, b[name], 0)
-    if net.run(0, 1, want=need_left) < need_left:
-        return None
-    result = _collect(g, net, arc_of)
-    if result.weight > cap:
+    result = _flow(b_left, b_right, edges)
+    if not result.cardinality == sum(b_left) == sum(b_right) or result.weight > cap:
         return None
     return result

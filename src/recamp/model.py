@@ -37,6 +37,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
     UnknownCandidateError,
+    is_int,
 )
 
 __all__ = [
@@ -77,7 +78,7 @@ class AtMost:
     limit: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.limit, int) or self.limit < 1:
+        if not is_int(self.limit) or self.limit < 1:
             raise ShapeError(f"winner bound must be an int >= 1, got {self.limit!r}")
 
 
@@ -105,13 +106,13 @@ class Pricing:
             if (
                 not isinstance(key, tuple)
                 or len(key) != 2
-                or not isinstance(key[0], int)
+                or not is_int(key[0])
                 or not isinstance(key[1], str)
             ):
                 raise ShapeError(f"price key must be (district, candidate), got {key!r}")
-            if not isinstance(val, int) or val < 0:
+            if not is_int(val) or val < 0:
                 raise ShapeError(f"price {key} must be a nonnegative int, got {val!r}")
-        if not isinstance(budget, int) or budget < 0:
+        if not is_int(budget) or budget < 0:
             raise ShapeError(f"budget must be a nonnegative int, got {budget!r}")
 
     def price(self, district: int, candidate: str) -> int:
@@ -203,7 +204,7 @@ class Assignment:
     def __init__(self, placement: Mapping[str, int]) -> None:
         object.__setattr__(self, "placement", dict(placement))
         for a, i in self.placement.items():
-            if not isinstance(a, str) or not isinstance(i, int):
+            if not isinstance(a, str) or not is_int(i):
                 raise ShapeError(f"placement entries map names to ints, got {a!r}: {i!r}")
 
     def placed_in(self, i: int) -> frozenset[str]:

@@ -55,12 +55,7 @@ from .errors import (
     ShapeError,
     WrongVariantError,
 )
-from .matching import (
-    BipartiteMultigraph,
-    Edge,
-    min_cost_max_cardinality_matching,
-    min_weight_perfect_b_matching,
-)
+from .matching import min_cost_max_cardinality_matching, min_weight_perfect_b_matching
 from .model import (
     Assignment,
     AtMost,
@@ -326,17 +321,13 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     order = sorted(inst.additional)
     singletons = np.eye(len(order), dtype=bool)
     alone = [_accepts(inst, d, order, singletons) for d in range(inst.k)]
-    left = [f"cand:{a}" for a in order]
-    right = [f"dist:{i}" for i in range(1, inst.k + 1)]
-    edges = []
-    for j, a in enumerate(order):
-        for i in range(1, inst.k + 1):
-            if alone[i - 1][j]:
-                weight = inst.pricing.price(i, a) if inst.pricing else 0
-                edges.append(Edge(f"cand:{a}", f"dist:{i}", weight))
-    result = min_cost_max_cardinality_matching(
-        BipartiteMultigraph(left, right, edges)
-    )
+    edges = [
+        (j, i, inst.pricing.price(i + 1, a) if inst.pricing else 0, 1)
+        for j, a in enumerate(order)
+        for i in range(inst.k)
+        if alone[i][j]
+    ]
+    result = min_cost_max_cardinality_matching(len(order), inst.k, edges)
     stats = {
         "nodes": len(order) * inst.k,
         "winning_edges": len(edges),
@@ -346,10 +337,7 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
         return _reject("crc1-matching", stats)
     if inst.pricing is not None and result.weight > inst.pricing.budget:
         return _reject("crc1-matching", stats)
-    placement = {
-        e.left.removeprefix("cand:"): int(e.right.removeprefix("dist:"))
-        for e, used in result.chosen
-    }
+    placement = {order[j]: i + 1 for (j, i, _, _), used in zip(edges, result.used) if used}
     return _accept(inst, placement, "crc1-matching", stats)
 
 
@@ -383,32 +371,20 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
     if slack_units < 0:
         return _reject("b-matching", stats)
 
-    left = [f"cand:{a}" for a in order] + ["slack:*"]
-    right = [f"dist:{i}" for i in range(1, inst.k + 1)]
-    edges = []
-    for a in order:
-        for i in range(1, inst.k + 1):
-            weight = inst.pricing.price(i, a) if inst.pricing else 0
-            edges.append(Edge(f"cand:{a}", f"dist:{i}", weight))
-    for i, d in enumerate(delta, start=1):
-        if d >= 1:
-            edges.append(Edge("slack:*", f"dist:{i}", 0, multiplicity=d))
-    degrees = {f"cand:{a}": 1 for a in order}
-    degrees["slack:*"] = slack_units
-    for i, d in enumerate(delta, start=1):
-        degrees[f"dist:{i}"] = d
-
+    edges = [
+        (j, i, inst.pricing.price(i + 1, a) if inst.pricing else 0, 1)
+        for j, a in enumerate(order)
+        for i in range(inst.k)
+    ]
+    edges += [(n, i, 0, d) for i, d in enumerate(delta) if d >= 1]
     cap = inst.pricing.budget if inst.pricing is not None else 0
-    result = min_weight_perfect_b_matching(
-        BipartiteMultigraph(left, right, edges), degrees, cap
-    )
+    result = min_weight_perfect_b_matching([1] * n + [slack_units], delta, edges, cap)
     stats["graph_edges"] = len(edges)
     if result is None:
         return _reject("b-matching", stats)
-    placement = {}
-    for e, used in result.chosen:
-        if e.left.startswith("cand:"):
-            placement[e.left.removeprefix("cand:")] = int(e.right.removeprefix("dist:"))
+    placement = {
+        order[j]: i + 1 for (j, i, _, _), used in zip(edges, result.used) if used and j < n
+    }
     return _accept(inst, placement, "b-matching", stats)
 
 

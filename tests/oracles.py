@@ -12,9 +12,7 @@ from collections import defaultdict
 
 from recamp import (
     Assignment,
-    BipartiteMultigraph,
     CoverSystem,
-    Edge,
     R3DMInstance,
     RecampaignInstance,
     X3CInstance,
@@ -22,28 +20,28 @@ from recamp import (
 )
 
 
-def matching_optimum(g: BipartiteMultigraph) -> tuple[int, int]:
+def matching_optimum(edges: list[tuple[int, int, int, int]]) -> tuple[int, int]:
     """(max cardinality, min weight among max-cardinality matchings)."""
-    edges = g.edges
     best_card, best_weight = 0, 0
 
-    def grow(start: int, used: frozenset[str], card: int, weight: int) -> None:
+    def grow(start: int, used: frozenset[tuple[str, int]], card: int, weight: int) -> None:
         nonlocal best_card, best_weight
         if card > best_card or (card == best_card and weight < best_weight):
             best_card, best_weight = card, weight
         for j in range(start, len(edges)):
-            e = edges[j]
-            if e.left not in used and e.right not in used:
-                grow(j + 1, used | {e.left, e.right}, card + 1, weight + e.weight)
+            u, v, w, _ = edges[j]
+            if ("L", u) not in used and ("R", v) not in used:
+                grow(j + 1, used | {("L", u), ("R", v)}, card + 1, weight + w)
 
     grow(0, frozenset(), 0, 0)
     return best_card, best_weight
 
 
-def b_matching_optimum(g: BipartiteMultigraph, b: dict[str, int]) -> int | None:
+def b_matching_optimum(
+    b_left: list[int], b_right: list[int], edges: list[tuple[int, int, int, int]]
+) -> int | None:
     """Min weight of a perfect b-matching, or None when infeasible."""
-    edges = list(g.edges)
-    remaining = dict(b)
+    left, right = list(b_left), list(b_right)
     best: int | None = None
 
     def search(i: int, weight: int) -> None:
@@ -51,17 +49,17 @@ def b_matching_optimum(g: BipartiteMultigraph, b: dict[str, int]) -> int | None:
         if best is not None and weight >= best:
             return
         if i == len(edges):
-            if all(v == 0 for v in remaining.values()):
+            if not any(left) and not any(right):
                 best = weight
             return
-        e = edges[i]
-        top = min(e.multiplicity, remaining[e.left], remaining[e.right])
+        u, v, w, multiplicity = edges[i]
+        top = min(multiplicity, left[u], right[v])
         for use in range(top, -1, -1):
-            remaining[e.left] -= use
-            remaining[e.right] -= use
-            search(i + 1, weight + use * e.weight)
-            remaining[e.left] += use
-            remaining[e.right] += use
+            left[u] -= use
+            right[v] -= use
+            search(i + 1, weight + use * w)
+            left[u] += use
+            right[v] += use
 
     search(0, 0)
     return best
@@ -108,22 +106,23 @@ def exact_cover_scan(system: CoverSystem) -> bool:
 
 def random_graph(
     rng: random.Random, max_side: int = 4, simple: bool = False
-) -> BipartiteMultigraph:
+) -> tuple[int, int, list[tuple[int, int, int, int]]]:
+    """(left size, right size, edges): each pair joined with chance 0.6."""
     n_left = rng.randint(0, max_side)
     n_right = rng.randint(0, max_side)
-    left = [f"L{i}" for i in range(n_left)]
-    right = [f"R{i}" for i in range(n_right)]
     edges = []
-    for l in left:
-        for r in right:
+    for u in range(n_left):
+        for v in range(n_right):
             if rng.random() < 0.6:
                 mult = 1 if simple else rng.randint(1, 3)
-                edges.append(Edge(l, r, rng.randint(0, 9), multiplicity=mult))
-    return BipartiteMultigraph(left, right, edges)
+                edges.append((u, v, rng.randint(0, 9), mult))
+    return n_left, n_right, edges
 
 
-def random_degrees(rng: random.Random, g: BipartiteMultigraph) -> dict[str, int]:
-    return {v: rng.randint(0, 2) for v in (*g.left, *g.right)}
+def random_degrees(
+    rng: random.Random, n_left: int, n_right: int
+) -> tuple[list[int], list[int]]:
+    return [rng.randint(0, 2) for _ in range(n_left)], [rng.randint(0, 2) for _ in range(n_right)]
 
 
 def random_x3c(rng: random.Random, m: int, max_triples: int) -> X3CInstance:

@@ -269,21 +269,21 @@ def test_c09_matching_engines_are_optimal():
     with _within(60.0):
         rng = random.Random(909)
         for _ in range(500):
-            g = random_graph(rng, simple=True)
-            res = min_cost_max_cardinality_matching(g)
-            assert (res.cardinality, res.weight) == matching_optimum(g)
+            left, right, edges = random_graph(rng, simple=True)
+            res = min_cost_max_cardinality_matching(left, right, edges)
+            assert (res.cardinality, res.weight) == matching_optimum(edges)
         for _ in range(600):
-            g = random_graph(rng)
-            b = random_degrees(rng, g)
-            best = b_matching_optimum(g, b)
-            got = min_weight_perfect_b_matching(g, b, BIG)
+            left, right, edges = random_graph(rng)
+            b_left, b_right = random_degrees(rng, left, right)
+            best = b_matching_optimum(b_left, b_right, edges)
+            got = min_weight_perfect_b_matching(b_left, b_right, edges, BIG)
             if best is None:
                 assert got is None
             else:
                 assert got is not None and got.weight == best
-                assert min_weight_perfect_b_matching(g, b, best) is not None
+                assert min_weight_perfect_b_matching(b_left, b_right, edges, best) is not None
                 if best > 0:
-                    assert min_weight_perfect_b_matching(g, b, best - 1) is None
+                    assert min_weight_perfect_b_matching(b_left, b_right, edges, best - 1) is None
 
 
 def test_c10_special_rule_solvers_agree_with_brute():

@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from recamp import (
     AtMost,
-    BipartiteMultigraph,
     Borda,
     District,
-    Edge,
     LinearVote,
     Pricing,
     RecampaignInstance,
@@ -27,203 +25,214 @@ from recamp import matching
 from oracles import b_matching_optimum, matching_optimum, random_degrees, random_graph
 
 
+def degrees(n_left, n_right, edges, used):
+    """The units each vertex meets, left side then right side."""
+    left, right = [0] * n_left, [0] * n_right
+    for (u, v, _, _), units in zip(edges, used):
+        left[u] += units
+        right[v] += units
+    return left, right
+
+
 def worked_example_graph():
     """The three-candidate, three-district layout with a slack sink.
 
-    District degree targets (3, 2, 0) absorb up to three, two, and zero
-    placements; the sink soaks up the two units the candidates cannot fill.
+    Left vertices a1, a2, a3 and the sink s are 0-3; districts d1-d3 are
+    0-2.  District degree targets (3, 2, 0) absorb up to three, two, and
+    zero placements; the sink soaks up the two units the candidates cannot
+    fill.
     """
     edges = [
-        Edge("a1", "d1", 5),
-        Edge("a1", "d2", 3),
-        Edge("a1", "d3", 0),
-        Edge("a2", "d1", 8),
-        Edge("a2", "d2", 1),
-        Edge("a2", "d3", 0),
-        Edge("a3", "d1", 10),
-        Edge("a3", "d2", 16),
-        Edge("a3", "d3", 0),
-        Edge("s", "d1", 0, multiplicity=3),
-        Edge("s", "d2", 0, multiplicity=2),
+        (0, 0, 5, 1),
+        (0, 1, 3, 1),
+        (0, 2, 0, 1),
+        (1, 0, 8, 1),
+        (1, 1, 1, 1),
+        (1, 2, 0, 1),
+        (2, 0, 10, 1),
+        (2, 1, 16, 1),
+        (2, 2, 0, 1),
+        (3, 0, 0, 3),
+        (3, 1, 0, 2),
     ]
-    g = BipartiteMultigraph(["a1", "a2", "a3", "s"], ["d1", "d2", "d3"], edges)
-    b = {"a1": 1, "a2": 1, "a3": 1, "s": 2, "d1": 3, "d2": 2, "d3": 0}
-    return g, b
+    return [1, 1, 1, 2], [3, 2, 0], edges
 
 
 class TestMaxCardinalityMatching:
     def test_single_edge(self):
-        g = BipartiteMultigraph(["a"], ["d"], [Edge("a", "d", 7)])
-        result = min_cost_max_cardinality_matching(g)
+        result = min_cost_max_cardinality_matching(1, 1, [(0, 0, 7, 1)])
         assert result.cardinality == 1
         assert result.weight == 7
-        assert result.chosen == ((Edge("a", "d", 7), 1),)
+        assert result.used == (1,)
 
     def test_prefers_cheaper_singleton(self):
-        g = BipartiteMultigraph(["a", "b"], ["d"], [Edge("a", "d", 1), Edge("b", "d", 0)])
-        result = min_cost_max_cardinality_matching(g)
+        result = min_cost_max_cardinality_matching(2, 1, [(0, 0, 1, 1), (1, 0, 0, 1)])
         assert result.cardinality == 1
         assert result.weight == 0
 
     def test_empty_graph(self):
-        result = min_cost_max_cardinality_matching(BipartiteMultigraph([], []))
+        result = min_cost_max_cardinality_matching(0, 0, [])
         assert result.cardinality == 0
         assert result.weight == 0
-        assert result.chosen == ()
+        assert result.used == ()
 
     def test_cardinality_beats_weight(self):
         # the expensive pair of edges still wins over one free edge
-        g = BipartiteMultigraph(
-            ["a", "b"],
-            ["d", "e"],
-            [Edge("a", "d", 0), Edge("a", "e", 9), Edge("b", "d", 9)],
-        )
-        result = min_cost_max_cardinality_matching(g)
+        edges = [(0, 0, 0, 1), (0, 1, 9, 1), (1, 0, 9, 1)]
+        result = min_cost_max_cardinality_matching(2, 2, edges)
         assert result.cardinality == 2
         assert result.weight == 18
 
     def test_each_vertex_used_at_most_once(self):
         rng = random.Random(5)
         for _ in range(100):
-            g = random_graph(rng, max_side=5)
-            result = min_cost_max_cardinality_matching(g)
-            seen_left, seen_right = set(), set()
-            for edge, used in result.chosen:
-                assert used == 1
-                assert edge.left not in seen_left
-                assert edge.right not in seen_right
-                seen_left.add(edge.left)
-                seen_right.add(edge.right)
+            left, right, edges = random_graph(rng, max_side=5)
+            result = min_cost_max_cardinality_matching(left, right, edges)
+            assert len(result.used) == len(edges)
+            assert set(result.used) <= {0, 1}
+            seen_left, seen_right = degrees(left, right, edges, result.used)
+            assert max(seen_left + seen_right, default=0) <= 1
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_optimum(self, seed):
         rng = random.Random(seed)
-        g = random_graph(rng, max_side=4, simple=True)
-        result = min_cost_max_cardinality_matching(g)
-        card, weight = matching_optimum(g)
-        assert (result.cardinality, result.weight) == (card, weight)
+        left, right, edges = random_graph(rng, max_side=4, simple=True)
+        result = min_cost_max_cardinality_matching(left, right, edges)
+        assert (result.cardinality, result.weight) == matching_optimum(edges)
 
 
 class TestPerfectBMatching:
     def test_all_zero_degrees(self):
-        g = BipartiteMultigraph(["a"], ["d"], [Edge("a", "d", 3)])
-        result = min_weight_perfect_b_matching(g, {"a": 0, "d": 0}, 0)
+        result = min_weight_perfect_b_matching([0], [0], [(0, 0, 3, 1)], 0)
         assert result is not None
         assert result.cardinality == 0
         assert result.weight == 0
 
     def test_worked_example_optimum_is_14(self):
-        g, b = worked_example_graph()
-        result = min_weight_perfect_b_matching(g, b, 16)
+        b_left, b_right, edges = worked_example_graph()
+        result = min_weight_perfect_b_matching(b_left, b_right, edges, 16)
         assert result is not None
         assert result.weight == 14
-        used = {(e.left, e.right): n for e, n in result.chosen}
         # a1 and a2 sit in district 2, a3 in district 1, slack fills the rest
-        assert used[("a1", "d2")] == 1
-        assert used[("a2", "d2")] == 1
-        assert used[("a3", "d1")] == 1
-        assert used[("s", "d1")] == 2
-        degree = {}
-        for (left, right), n in used.items():
-            degree[left] = degree.get(left, 0) + n
-            degree[right] = degree.get(right, 0) + n
-        assert degree == {k: v for k, v in b.items() if v > 0}
+        assert result.used == (0, 1, 0, 0, 1, 0, 1, 0, 0, 2, 0)
+        assert degrees(4, 3, edges, result.used) == (b_left, b_right)
 
     def test_worked_example_cap_13_absent(self):
-        g, b = worked_example_graph()
-        assert min_weight_perfect_b_matching(g, b, 13) is None
+        b_left, b_right, edges = worked_example_graph()
+        assert min_weight_perfect_b_matching(b_left, b_right, edges, 13) is None
 
     def test_cap_exactly_at_optimum(self):
-        g, b = worked_example_graph()
-        assert min_weight_perfect_b_matching(g, b, 14).weight == 14
+        b_left, b_right, edges = worked_example_graph()
+        assert min_weight_perfect_b_matching(b_left, b_right, edges, 14).weight == 14
 
     def test_infeasible_degrees(self):
-        g = BipartiteMultigraph(["a"], ["d"], [Edge("a", "d", 0)])
-        assert min_weight_perfect_b_matching(g, {"a": 2, "d": 1}, 99) is None
-        assert min_weight_perfect_b_matching(g, {"a": 2, "d": 2}, 99) is None
+        edges = [(0, 0, 0, 1)]
+        assert min_weight_perfect_b_matching([2], [1], edges, 99) is None
+        assert min_weight_perfect_b_matching([2], [2], edges, 99) is None
 
     def test_multiplicity_allows_reuse(self):
-        g = BipartiteMultigraph(["a"], ["d"], [Edge("a", "d", 2, multiplicity=3)])
-        result = min_weight_perfect_b_matching(g, {"a": 3, "d": 3}, 6)
+        result = min_weight_perfect_b_matching([3], [3], [(0, 0, 2, 3)], 6)
         assert result is not None
         assert result.weight == 6
-        assert result.chosen[0][1] == 3
-
-    def test_validation(self):
-        g = BipartiteMultigraph(["a"], ["d"], [Edge("a", "d", 0)])
-        with pytest.raises(ShapeError):
-            min_weight_perfect_b_matching(g, {"a": 1, "d": 1, "zz": 0}, 0)
-        with pytest.raises(ShapeError):
-            min_weight_perfect_b_matching(g, {"a": 1}, 0)
-        with pytest.raises(ShapeError):
-            min_weight_perfect_b_matching(g, {"a": -1, "d": -1}, 0)
-        with pytest.raises(ShapeError):
-            min_weight_perfect_b_matching(g, {"a": 0, "d": 0}, -1)
-        with pytest.raises(ShapeError):
-            min_weight_perfect_b_matching(g, {"a": 0, "d": 0}, True)
+        assert result.used == (3,)
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_optimum(self, seed):
         rng = random.Random(seed)
-        g = random_graph(rng, max_side=3)
-        b = random_degrees(rng, g)
-        best = b_matching_optimum(g, b)
+        left, right, edges = random_graph(rng, max_side=3)
+        b_left, b_right = random_degrees(rng, left, right)
+        best = b_matching_optimum(b_left, b_right, edges)
         cap = 10**6
-        result = min_weight_perfect_b_matching(g, b, cap)
+        result = min_weight_perfect_b_matching(b_left, b_right, edges, cap)
         if best is None:
             assert result is None
         else:
             assert result is not None
             assert result.weight == best
             # the result really is a perfect b-matching
-            degree = {v: 0 for v in g.left + g.right}
-            for edge, n in result.chosen:
-                assert 1 <= n <= edge.multiplicity
-                degree[edge.left] += n
-                degree[edge.right] += n
-            assert degree == b
+            for (_, _, _, multiplicity), units in zip(edges, result.used):
+                assert 0 <= units <= multiplicity
+            assert degrees(left, right, edges, result.used) == (b_left, b_right)
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=120, deadline=None)
     def test_cap_monotone(self, seed):
         """Raising the cap never turns a feasible answer into an absent one."""
         rng = random.Random(seed)
-        g = random_graph(rng, max_side=3)
-        b = random_degrees(rng, g)
-        best = b_matching_optimum(g, b)
+        left, right, edges = random_graph(rng, max_side=3)
+        b_left, b_right = random_degrees(rng, left, right)
+        best = b_matching_optimum(b_left, b_right, edges)
         if best is None:
             for cap in (0, 5, 10**6):
-                assert min_weight_perfect_b_matching(g, b, cap) is None
+                assert min_weight_perfect_b_matching(b_left, b_right, edges, cap) is None
             return
-        assert min_weight_perfect_b_matching(g, b, best).weight == best
-        assert min_weight_perfect_b_matching(g, b, best + 1).weight == best
+        assert min_weight_perfect_b_matching(b_left, b_right, edges, best).weight == best
+        assert min_weight_perfect_b_matching(b_left, b_right, edges, best + 1).weight == best
         if best > 0:
-            assert min_weight_perfect_b_matching(g, b, best - 1) is None
+            assert min_weight_perfect_b_matching(b_left, b_right, edges, best - 1) is None
+
+
+BAD_EDGES = [
+    pytest.param((1, 0, 0, 1), id="left-endpoint-past-side"),
+    pytest.param((0, 1, 0, 1), id="right-endpoint-past-side"),
+    pytest.param((-1, 0, 0, 1), id="negative-left-endpoint"),
+    pytest.param((0, -1, 0, 1), id="negative-right-endpoint"),
+    pytest.param((0, 0, -1, 1), id="negative-weight"),
+    pytest.param((0, 0, True, 1), id="bool-weight"),
+    pytest.param((0, 0, 0, 0), id="zero-multiplicity"),
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("edge", BAD_EDGES)
+    def test_bad_edge_max_cardinality(self, edge):
+        with pytest.raises(ShapeError):
+            min_cost_max_cardinality_matching(1, 1, [edge])
+
+    @pytest.mark.parametrize("edge", BAD_EDGES)
+    def test_bad_edge_b_matching(self, edge):
+        with pytest.raises(ShapeError):
+            min_weight_perfect_b_matching([1], [1], [edge], 0)
+
+    @pytest.mark.parametrize(
+        "b_left, b_right",
+        [([-1], [-1]), ([0], [-1]), ([True], [1]), ([1], [True])],
+        ids=["negative-both", "negative-right", "bool-left", "bool-right"],
+    )
+    def test_bad_degree_target(self, b_left, b_right):
+        with pytest.raises(ShapeError):
+            min_weight_perfect_b_matching(b_left, b_right, [(0, 0, 0, 1)], 0)
+
+    @pytest.mark.parametrize("cap", [-1, True, 1.5])
+    def test_bad_cap(self, cap):
+        with pytest.raises(ShapeError):
+            min_weight_perfect_b_matching([0], [0], [(0, 0, 0, 1)], cap)
+
+    @pytest.mark.parametrize("left, right", [(-1, 1), (1, True)])
+    def test_bad_side_size(self, left, right):
+        with pytest.raises(ShapeError):
+            min_cost_max_cardinality_matching(left, right, [])
 
 
 def large_graph(rng):
     """Up to 40 x 12 vertices with parallel edges, multiplicities up to 3
     and weights both tiny (many ties) and far beyond int64; the degree
     targets are those of a random b-matching, so they can be met."""
-    left = [f"l{i}" for i in range(rng.randint(1, 40))]
-    right = [f"r{i}" for i in range(rng.randint(1, 12))]
+    n_left, n_right = rng.randint(1, 40), rng.randint(1, 12)
     edges = [
-        Edge(
-            rng.choice(left),
-            rng.choice(right),
+        (
+            rng.randrange(n_left),
+            rng.randrange(n_right),
             rng.choice((rng.randint(0, 4), rng.randint(0, 10**30))),
             rng.randint(1, 3),
         )
-        for _ in range(rng.randint(0, 4 * len(left)))
+        for _ in range(rng.randint(0, 4 * n_left))
     ]
-    b = dict.fromkeys(left + right, 0)
-    for e in edges:
-        used = rng.randint(0, e.multiplicity)
-        b[e.left] += used
-        b[e.right] += used
-    return BipartiteMultigraph(left, right, edges), b
+    used = [rng.randint(0, multiplicity) for _, _, _, multiplicity in edges]
+    b_left, b_right = degrees(n_left, n_right, edges, used)
+    return b_left, b_right, edges
 
 
 def assert_certified(net, s=0, t=1, maximum=False):
@@ -264,7 +273,7 @@ class TestPrimalDual:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
     def test_potentials_certify_optimality(self, seed):
-        g, b = large_graph(random.Random(seed))
+        b_left, b_right, edges = large_graph(random.Random(seed))
         nets = []
         run = matching._MinCostFlow.run
 
@@ -274,16 +283,12 @@ class TestPrimalDual:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matching._MinCostFlow, "run", kept)
-            min_cost_max_cardinality_matching(g)
+            min_cost_max_cardinality_matching(len(b_left), len(b_right), edges)
             assert_certified(nets[-1], maximum=True)
-            cap = sum(e.weight * e.multiplicity for e in g.edges)
-            result = min_weight_perfect_b_matching(g, b, cap)
+            cap = sum(weight * multiplicity for _, _, weight, multiplicity in edges)
+            result = min_weight_perfect_b_matching(b_left, b_right, edges, cap)
             assert_certified(nets[-1])
-        degree = dict.fromkeys(b, 0)
-        for e, used in result.chosen:
-            degree[e.left] += used
-            degree[e.right] += used
-        assert degree == b
+        assert degrees(len(b_left), len(b_right), edges, result.used) == (b_left, b_right)
 
     @pytest.mark.parametrize(
         "seed, rule, k, n, votes, bound, solve, most",
@@ -311,21 +316,3 @@ class TestPrimalDual:
         result = solve(instance(random.Random(seed), rule, k, n, votes, bound))
         assert result.answer
         assert len(calls) <= most
-
-
-class TestGraphValidation:
-    def test_duplicate_vertices(self):
-        with pytest.raises(ShapeError):
-            BipartiteMultigraph(["a", "a"], ["d"])
-        with pytest.raises(ShapeError):
-            BipartiteMultigraph(["a"], ["a"])
-
-    def test_unknown_endpoint(self):
-        with pytest.raises(ShapeError):
-            BipartiteMultigraph(["a"], ["d"], [Edge("a", "zz", 0)])
-
-    def test_edge_validation(self):
-        with pytest.raises(ShapeError):
-            Edge("a", "d", -1)
-        with pytest.raises(ShapeError):
-            Edge("a", "d", 0, multiplicity=0)

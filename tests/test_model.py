@@ -14,6 +14,7 @@ from recamp import (
     District,
     E1,
     Election,
+    ExplicitScoringFamily,
     LinearVote,
     PreconditionError,
     Pricing,
@@ -21,6 +22,7 @@ from recamp import (
     RecampaignInstance,
     ShapeError,
     TApproval,
+    TVeto,
     TrivialScoring,
     UNBOUNDED,
     Unbounded,
@@ -68,6 +70,29 @@ class TestConstruction:
             Pricing({(1, "a"): 1}, budget=-1)
         with pytest.raises(ShapeError):
             Pricing({"a": 1}, budget=0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AtMost(True),
+            lambda: TApproval(True),
+            lambda: TVeto(True),
+            lambda: ExplicitScoringFamily([[True]]),
+            lambda: Pricing({(1, "a"): True}, budget=0),
+            lambda: Pricing({(True, "a"): 1}, budget=0),
+            lambda: Pricing({(1, "a"): 1}, budget=True),
+            lambda: Assignment({"a": True}),
+        ],
+        ids=[
+            "bound", "t-approval", "t-veto", "explicit-vector",
+            "price", "price-district", "budget", "assignment",
+        ],
+    )
+    def test_bools_are_not_ints(self, build):
+        """The file formats refuse True where an int belongs, so the
+        constructors do too: whatever they accept renders and parses back."""
+        with pytest.raises(ShapeError):
+            build()
 
     def test_needs_a_district(self):
         with pytest.raises(ShapeError):
