@@ -1,27 +1,26 @@
 #!/usr/bin/env python3
-"""Cross-validate the routed solvers against the subset DP and a placement scan.
+"""Cross-validate every route against the subset DP and a placement scan.
 
 Draws seeded random instances for every built-in rule across all variants
 (winner bounds 1/2/3/unbounded, priced and unpriced) and decides each one
-three times: through `solve_auto`, through `solve_brute` (the subset DP,
-which is also the route `solve_auto` takes for the unbounded variants
-without a polynomial method), and with `placement_scan` from
-`tests/oracles.py`, which checks every placement with `verify` and shares
-no code with the solvers' district oracle.  Bounded draws, bound 1
-included, are also decided by `solve_fpt` directly; past its n > k·ℓ guard
-it runs the DP of `solve_brute`, so the two must return the same
-assignment, cost and `nodes`.  Every draw is decided once more by
+through `solve_auto` and through every route of the route table
+`recamp.solvers.ROUTES` whose test accepts it: `brute` (the subset DP) on
+every draw, `fpt` on the bounded ones, `crc1` at bound 1, `bmatch` under the
+trivial rule, `e1` and `e2` on their unpriced variants.  Every answer must
+match `placement_scan` from `tests/oracles.py`, which checks every placement
+with `verify` and shares no code with the solvers' district oracle.  Past
+its n > k·ℓ guard `fpt` runs the DP of `brute`, so the two must return the
+same assignment, cost and `nodes`.  Every draw is decided once more by
 `solve_brute` with each district's ballots cast twice: doubling keeps
 every scoring winner and every strict majority, so the answer must not
 change, and the oracle's ballot blocks then hold repeated ballots.  Every
 YES must report the cost `verify` computes for its witness, and on the
 matching routes (`crc1-matching`, `b-matching`) that cost must be the
-scan's minimum.  Every bound-1 draw under the trivial rule is decided by
-both matching engines, `solve_crc1` and `solve_trivial_scoring`, which
-must agree in answer and cost.
-Reports per-rule agreement, yes-rates, and which routes fired.  Exits
-nonzero if any answer, cost or fpt-brute result disagrees, so the script
-doubles as a soak test.
+scan's minimum, so the two matching engines agree wherever both apply.
+Reports per-rule agreement, yes-rates and which routes `solve_auto` took,
+then how many draws each route decided and its mean time.  Exits nonzero
+if any answer, cost or fpt-brute result disagrees, so the script doubles
+as a soak test.
 
     python3 scripts/cross_validate.py --trials 400 --seed 7
 """
@@ -49,10 +48,8 @@ from recamp import (
     verify,
     solve_auto,
     solve_brute,
-    solve_crc1,
-    solve_fpt,
-    solve_trivial_scoring,
 )
+from recamp.solvers import ROUTES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import placement_scan  # noqa: E402
@@ -94,17 +91,24 @@ def doubled(inst):
     return dataclasses.replace(inst, districts=districts)
 
 
+def decide(route, inst, node_budget):
+    if route.budgeted:
+        return route.method(inst, node_budget=node_budget)
+    return route.method(inst)
+
+
 def run(args: argparse.Namespace) -> int:
     import random
 
     rng = random.Random(args.seed)
-    print(f"{'rule':<12} {'trials':>6} {'yes':>5} {'disagree':>8} "
-          f"{'auto ms':>8} {'brute ms':>9} {'fpt ms':>7}  routes")
-    failures = both_engines = 0
+    print(f"{'rule':<12} {'trials':>6} {'yes':>5} {'disagree':>8} {'auto ms':>8}  auto routes")
+    failures = 0
+    decided: collections.Counter[str] = collections.Counter()
+    route_time: collections.Counter[str] = collections.Counter()
     for name, rule in RULES.items():
         routes: collections.Counter[str] = collections.Counter()
         yes = disagree = 0
-        auto_time = brute_time = fpt_time = 0.0
+        auto_time = 0.0
         for trial in range(args.trials):
             params = RandomInstanceParams(
                 districts=rng.randint(1, args.max_districts),
@@ -116,39 +120,33 @@ def run(args: argparse.Namespace) -> int:
             inst = random_instance(params, seed=args.seed * 100_000 + trial)
             t0 = time.perf_counter()
             fast = solve_auto(inst, node_budget=args.node_budget)
-            t1 = time.perf_counter()
-            slow = solve_brute(inst, node_budget=args.node_budget)
-            t2 = time.perf_counter()
+            auto_time += time.perf_counter() - t0
+            results = {"auto": fast}
+            for route_name, route in ROUTES.items():
+                if route.test(inst):
+                    t1 = time.perf_counter()
+                    results[route_name] = decide(route, inst, args.node_budget)
+                    route_time[route_name] += time.perf_counter() - t1
+                    decided[route_name] += 1
             scan, best_cost = placement_scan(inst)
-            auto_time += t1 - t0
-            brute_time += t2 - t1
             routes[fast.algorithm] += 1
             yes += fast.answer
-            errors = cost_errors(inst, fast, best_cost) + cost_errors(inst, slow, best_cost)
-            if not fast.answer == slow.answer == scan:
-                errors.append(f"auto={fast.answer} brute={slow.answer} scan={scan}")
+            errors = []
+            for route_name, result in results.items():
+                errors += cost_errors(inst, result, best_cost)
+                if result.answer != scan:
+                    errors.append(f"{route_name}={result.answer} scan={scan}")
+            slow, fpt = results["brute"], results.get("fpt")
+            if fpt is not None and not fpt.statistics["guard"] and (
+                (fpt.assignment, fpt.cost, fpt.statistics["nodes"])
+                != (slow.assignment, slow.cost, slow.statistics["nodes"])
+            ):
+                errors.append(f"fpt and brute differ: {fpt} vs {slow}")
             twice_inst = doubled(inst)
             twice = solve_brute(twice_inst, node_budget=args.node_budget)
             errors += cost_errors(twice_inst, twice, best_cost)
             if twice.answer != scan:
                 errors.append(f"brute with doubled ballots={twice.answer} scan={scan}")
-            if params.bound != UNBOUNDED:
-                t3 = time.perf_counter()
-                fpt = solve_fpt(inst, node_budget=args.node_budget)
-                fpt_time += time.perf_counter() - t3
-                errors += cost_errors(inst, fpt, best_cost)
-                if fpt.answer != scan:
-                    errors.append(f"fpt={fpt.answer} scan={scan}")
-                if not fpt.statistics["guard"] and (
-                    (fpt.assignment, fpt.cost, fpt.statistics["nodes"])
-                    != (slow.assignment, slow.cost, slow.statistics["nodes"])
-                ):
-                    errors.append(f"fpt and brute differ: {fpt} vs {slow}")
-            if isinstance(rule, TrivialScoring) and params.bound == AtMost(1):
-                both_engines += 1
-                crc1, bmatch = solve_crc1(inst), solve_trivial_scoring(inst)
-                if (crc1.answer, crc1.cost) != (bmatch.answer, bmatch.cost):
-                    errors.append(f"crc1={crc1} b-matching={bmatch}")
             if errors:
                 disagree += 1
                 failures += 1
@@ -157,10 +155,11 @@ def run(args: argparse.Namespace) -> int:
                       file=sys.stderr)
         route_note = " ".join(f"{r}:{c}" for r, c in sorted(routes.items()))
         print(f"{name:<12} {args.trials:>6} {yes:>5} {disagree:>8} "
-              f"{auto_time / args.trials * 1000:>8.2f} "
-              f"{brute_time / args.trials * 1000:>9.2f} "
-              f"{fpt_time / args.trials * 1000:>7.2f}  {route_note}")
-    print(f"\n{both_engines} bound-1 trivial-rule draws decided by both matching engines")
+              f"{auto_time / args.trials * 1000:>8.2f}  {route_note}")
+    print(f"\n{'route':<8} {'draws':>6} {'ms':>7}")
+    for route_name in ROUTES:
+        mean = route_time[route_name] / max(1, decided[route_name]) * 1000
+        print(f"{route_name:<8} {decided[route_name]:>6} {mean:>7.2f}")
     if failures:
         print(f"\n{failures} disagreement(s) found", file=sys.stderr)
         return 1

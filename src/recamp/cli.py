@@ -5,6 +5,10 @@ uniform across commands: 0 for yes/ok, 1 for no/invalid, 2 for usage, parse,
 or precondition problems, 3 when an enumeration would exceed the node budget,
 whether it refuses to start or stops partway (RECAMP_NODE_BUDGET overrides
 the default).
+
+`solve --algorithm` takes `auto` or a route of `solvers.ROUTES`, which says
+whether it takes `--node-budget`; `reduce --from --to` takes a pair of
+`_REDUCTIONS`, and `_SOURCES` parses its source.
 """
 
 from __future__ import annotations
@@ -15,49 +19,21 @@ import sys
 import time
 from typing import Any, Callable, Sequence
 
-from . import formats
-from .core import winners
+from . import formats, gadgets
+from .core import VotingRule, winners
 from .errors import RecampaignError, ResourceBudgetError
-from .gadgets import (
-    Exactly3ThreeDMInstance,
-    e33dm_to_1approval,
-    e33dm_to_scoring,
-    r3dm_to_exactly3,
-    sat_to_approval_unbounded,
-    x3c_to_approval,
-    x3c_to_e1_priced,
-    x3c_to_veto,
-)
 from .model import (
     AtMost,
     RandomInstanceParams,
+    RecampaignInstance,
     UNBOUNDED,
     WinnerBound,
     random_instance,
     verify,
 )
-from .solvers import (
-    SolveResult,
-    solve_auto,
-    solve_brute,
-    solve_crc1,
-    solve_e1_bound3,
-    solve_e2_unbounded,
-    solve_fpt,
-    solve_trivial_scoring,
-)
+from .solvers import ROUTES, SolveResult, solve_auto
 
-_SOLVERS: dict[str, Callable[..., SolveResult]] = {
-    "auto": solve_auto,
-    "crc1": solve_crc1,
-    "bmatch": solve_trivial_scoring,
-    "fpt": solve_fpt,
-    "e1": solve_e1_bound3,
-    "e2": solve_e2_unbounded,
-    "brute": solve_brute,
-}
-
-_BUDGETED = {"auto", "brute", "fpt"}
+_SOLVERS = {"auto": solve_auto} | {name: route.method for name, route in ROUTES.items()}
 
 
 def _read(path: str) -> str:
@@ -106,27 +82,20 @@ def _report(result: SolveResult, elapsed: float) -> dict[str, Any]:
     return doc
 
 
-def _run_solver(args: argparse.Namespace, name: str) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """`solve`, and `oracle` as `solve --algorithm brute`."""
     inst = formats.parse_instance(_read(args.instance))
-    solver = _SOLVERS[name]
+    solver = _SOLVERS[args.algorithm]
     start = time.perf_counter()
-    if name in _BUDGETED:
+    if args.algorithm == "auto" or ROUTES[args.algorithm].budgeted:
         result = solver(inst, args.node_budget)
     else:
         result = solver(inst)
     elapsed = time.perf_counter() - start
     sys.stdout.write(formats.dumps(_report(result, elapsed)))
-    if result.answer and getattr(args, "assignment_out", None):
+    if result.answer and args.assignment_out:
         _write(args.assignment_out, formats.render_assignment(result.assignment))
     return 0 if result.answer else 1
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    return _run_solver(args, args.algorithm)
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    return _run_solver(args, "brute")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -151,56 +120,57 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
-def _reduce_target(args: argparse.Namespace) -> tuple[str, str]:
-    """Run the requested reduction; returns (rendered document, kind)."""
-    pair = (args.source_kind, args.target)
-    if pair == ("x3c", "e1priced"):
-        src = formats.parse_x3c(_read(args.source))
-        return formats.render_instance(x3c_to_e1_priced(src)), "instance"
-    if pair == ("x3c", "approvalL"):
-        src = formats.parse_x3c(_read(args.source))
-        inst = x3c_to_approval(src, args.t, _parse_bound_arg(args.bound))
-        return formats.render_instance(inst), "instance"
-    if pair == ("x3c", "vetoL"):
-        src = formats.parse_x3c(_read(args.source))
-        inst = x3c_to_veto(src, args.t, _parse_bound_arg(args.bound))
-        return formats.render_instance(inst), "instance"
-    if pair == ("r3dm", "e33dm"):
-        src = formats.parse_3dm(_read(args.source))
-        out = r3dm_to_exactly3(src)
-        return (
-            formats.render_3dm(out),
-            "3dm",
-        )
-    if args.source_kind in ("r3dm", "e33dm") and args.target in (
-        "approval2",
-        "scoring2",
-    ):
-        parsed = formats.parse_3dm(_read(args.source))
-        if args.source_kind == "e33dm":
-            exact = Exactly3ThreeDMInstance(
-                parsed.w_side, parsed.x_side, parsed.y_side, parsed.triples
-            )
-        else:
-            exact = r3dm_to_exactly3(parsed)
-        if args.target == "approval2":
-            return formats.render_instance(e33dm_to_1approval(exact)), "instance"
-        if args.rule is None:
-            raise RecampaignError("--rule is required for the scoring2 target")
-        rule = formats.parse_rule_name(args.rule)
-        return formats.render_instance(e33dm_to_scoring(exact, rule)), "instance"
-    if pair == ("e3sat", "sat2districts"):
-        src = formats.parse_sat(_read(args.source))
-        inst = sat_to_approval_unbounded(src, args.t)
-        return formats.render_instance(inst), "instance"
-    raise RecampaignError(
-        f"unsupported reduction {args.source_kind} -> {args.target}"
-    )
+def _parse_e33dm(text: str) -> gadgets.Exactly3ThreeDMInstance:
+    src = formats.parse_3dm(text)
+    return gadgets.Exactly3ThreeDMInstance(src.w_side, src.x_side, src.y_side, src.triples)
+
+
+def _scoring_rule(args: argparse.Namespace) -> VotingRule:
+    if args.rule is None:
+        raise RecampaignError("--rule is required for the scoring2 target")
+    return formats.parse_rule_name(args.rule)
+
+
+# The two tables of `reduce` look `formats` and `gadgets` up when they run.
+# One parser per `--from` kind:
+_SOURCES: dict[str, Callable[[str], Any]] = {
+    "x3c": lambda text: formats.parse_x3c(text),
+    "r3dm": lambda text: formats.parse_3dm(text),
+    "e33dm": _parse_e33dm,
+    "e3sat": lambda text: formats.parse_sat(text),
+}
+
+# (--from, --to) → the reduction of the parsed source under the options:
+_REDUCTIONS: dict[tuple[str, str], Callable[[Any, argparse.Namespace], Any]] = {
+    ("x3c", "e1priced"): lambda src, args: gadgets.x3c_to_e1_priced(src),
+    ("x3c", "approvalL"): lambda src, args: gadgets.x3c_to_approval(
+        src, args.t, _parse_bound_arg(args.bound)
+    ),
+    ("x3c", "vetoL"): lambda src, args: gadgets.x3c_to_veto(
+        src, args.t, _parse_bound_arg(args.bound)
+    ),
+    ("r3dm", "e33dm"): lambda src, args: gadgets.r3dm_to_exactly3(src),
+    ("r3dm", "approval2"): lambda src, args: gadgets.e33dm_to_1approval(
+        gadgets.r3dm_to_exactly3(src)
+    ),
+    ("r3dm", "scoring2"): lambda src, args: gadgets.e33dm_to_scoring(
+        gadgets.r3dm_to_exactly3(src), _scoring_rule(args)
+    ),
+    ("e33dm", "approval2"): lambda src, args: gadgets.e33dm_to_1approval(src),
+    ("e33dm", "scoring2"): lambda src, args: gadgets.e33dm_to_scoring(src, _scoring_rule(args)),
+    ("e3sat", "sat2districts"): lambda src, args: gadgets.sat_to_approval_unbounded(src, args.t),
+}
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    rendered, _ = _reduce_target(args)
-    _write(args.output, rendered)
+    reduction = _REDUCTIONS.get((args.source_kind, args.target))
+    if reduction is None:
+        raise RecampaignError(f"unsupported reduction {args.source_kind} -> {args.target}")
+    out = reduction(_SOURCES[args.source_kind](_read(args.source)), args)
+    if isinstance(out, RecampaignInstance):
+        _write(args.output, formats.render_instance(out))
+    else:
+        _write(args.output, formats.render_3dm(out))
     return 0
 
 
@@ -238,18 +208,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="decide an instance file")
     solve.add_argument("instance")
-    solve.add_argument(
-        "--algorithm", choices=sorted(_SOLVERS), default="auto"
-    )
+    solve.add_argument("--algorithm", choices=sorted(_SOLVERS), default="auto")
     solve.add_argument("--node-budget", type=int, default=None)
     solve.add_argument("--assignment-out", default=None)
     solve.set_defaults(func=_cmd_solve)
 
-    oracle = sub.add_parser("oracle", help="decide an instance file with the exact DP (solve_brute)")
+    oracle = sub.add_parser(
+        "oracle", help="decide an instance file with the exact DP (solve_brute)"
+    )
     oracle.add_argument("instance")
     oracle.add_argument("--node-budget", type=int, default=None)
     oracle.add_argument("--assignment-out", default=None)
-    oracle.set_defaults(func=_cmd_oracle)
+    oracle.set_defaults(func=_cmd_solve, algorithm="brute")
 
     chk = sub.add_parser("verify", help="check an assignment against an instance")
     chk.add_argument("instance")
@@ -262,21 +232,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--from",
         dest="source_kind",
         required=True,
-        choices=["x3c", "r3dm", "e33dm", "e3sat"],
+        choices=sorted({source for source, _ in _REDUCTIONS}),
     )
     reduce_.add_argument(
         "--to",
         dest="target",
         required=True,
-        choices=[
-            "e1priced",
-            "approval2",
-            "scoring2",
-            "approvalL",
-            "vetoL",
-            "sat2districts",
-            "e33dm",
-        ],
+        choices=sorted({target for _, target in _REDUCTIONS}),
     )
     reduce_.add_argument("--rule", default=None, help="target rule for scoring2")
     reduce_.add_argument("--t", type=int, default=1)
@@ -309,12 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceBudgetError as exc:
-        print(f"recamp: {exc}", file=sys.stderr)
-        return 3
     except RecampaignError as exc:
         print(f"recamp: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceBudgetError) else 2
 
 
 if __name__ == "__main__":

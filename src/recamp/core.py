@@ -214,7 +214,7 @@ def scoring_vector(rule: VotingRule, m: int) -> tuple[int, ...]:
         UnsupportedRuleError: for non-scoring rules.
         MissingVectorError: explicit family without a vector for `m`.
     """
-    if not isinstance(m, int) or m < 0:
+    if not is_int(m) or m < 0:
         raise ShapeError(f"candidate count must be a nonnegative int, got {m!r}")
     if isinstance(rule, TApproval):
         ones = min(rule.t, m)
@@ -298,7 +298,7 @@ def is_k_winner(rule: VotingRule, e: Election, p: str, k: int) -> bool:
     """True iff `p` wins and the whole winner set has at most `k` members."""
     if p not in e.candidates:
         raise UnknownCandidateError(f"{p!r} is not a candidate")
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise ShapeError(f"k must be a positive int, got {k!r}")
     w = winners(rule, e)
     return p in w and len(w) <= k

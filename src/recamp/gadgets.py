@@ -42,7 +42,7 @@ from .model import (
     Unbounded,
     WinnerBound,
 )
-from .solvers import default_node_budget
+from .solvers import _resolve_budget
 
 __all__ = [
     "X3CInstance",
@@ -195,7 +195,7 @@ class OneInThreeSatInstance:
 
 def decide_x3c(inst: X3CInstance, node_budget: int | None = None) -> bool:
     """Is some subcollection of m pairwise-disjoint triples covering U?"""
-    budget = node_budget if node_budget is not None else default_node_budget()
+    budget = _resolve_budget(node_budget)
     m = inst.m
     if m == 0:
         return True
@@ -214,7 +214,7 @@ def decide_3dm(
 ) -> bool:
     """Is there a perfect matching: k triples, pairwise disjoint in every
     coordinate?"""
-    budget = node_budget if node_budget is not None else default_node_budget()
+    budget = _resolve_budget(node_budget)
     k = inst.k
     if k == 0:
         return True
@@ -232,7 +232,7 @@ def decide_3dm(
 
 def decide_e3sat(inst: OneInThreeSatInstance, node_budget: int | None = None) -> bool:
     """Is there an assignment with exactly one true literal per clause?"""
-    budget = node_budget if node_budget is not None else default_node_budget()
+    budget = _resolve_budget(node_budget)
     n = len(inst.variables)
     if 2**n > budget:
         raise ResourceBudgetError(f"2^{n} assignments exceed the node budget {budget}")

@@ -77,12 +77,10 @@ class _MinCostFlow:
         self.cost.append(-cost)
         return arc
 
-    def run(self, s: int, t: int, want: int | None = None) -> int:
+    def run(self, s: int, t: int, want: int) -> int:
         """Push flow from s to t, cheapest paths first, one reprice per
         path length.  Stops at max flow, or once `want` units are routed.
         Returns the flow."""
-        if want is None:
-            want = sum(self.cap[arc] for arc in self.head[s])
         flow = 0
         while flow < want and self._reprice(s, t):
             flow += self._block(s, t, want - flow)

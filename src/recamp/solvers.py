@@ -12,7 +12,11 @@ Entry points (all return a `SolveResult`):
                           DP's forward layers.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
 - `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
-- `solve_auto`            dispatches to the cheapest applicable method.
+- `solve_auto`            the first route of `ROUTES` whose test holds.
+
+`ROUTES`, the table at the end of the module, states once which variant each
+method decides: `solve_auto` reads it in order, each method refuses any other
+instance with `WrongVariantError`, and the CLI's `--algorithm` comes from it.
 
 crc1 (singletons) and the DP (the sets of at most ℓ candidates, or every
 set unbounded, for districts 1..k-1, the complements of the sets they can
@@ -33,7 +37,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,24 +51,26 @@ from .core import (
     TrivialScoring,
     TVeto,
     scoring_vector,
-    winners,  # noqa: F401  (kept importable as recamp.solvers.winners for tracers)
+    winners,
 )
 from .errors import (
     PreconditionError,
     ResourceBudgetError,
     ShapeError,
     WrongVariantError,
+    is_int,
 )
 from .matching import min_cost_max_cardinality_matching, min_weight_perfect_b_matching
 from .model import (
     Assignment,
     AtMost,
     RecampaignInstance,
-    Unbounded,
     verify,
 )
 
 __all__ = [
+    "ROUTES",
+    "Route",
     "SolveResult",
     "CoverMember",
     "CoverSystem",
@@ -99,9 +105,14 @@ def default_node_budget() -> int:
 
 def _resolve_budget(node_budget: int | None) -> int:
     budget = node_budget if node_budget is not None else default_node_budget()
-    if budget < 1:
-        raise ShapeError(f"node budget must be >= 1, got {budget}")
+    if not is_int(budget) or budget < 1:
+        raise ShapeError(f"node budget must be an int >= 1, got {budget!r}")
     return budget
+
+
+def _bound(inst: RecampaignInstance) -> int | None:
+    """The winner bound ℓ, or None when unbounded."""
+    return inst.bound.limit if isinstance(inst.bound, AtMost) else None
 
 
 @dataclass(frozen=True)
@@ -316,8 +327,7 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     candidates, so feasibility is exactly a perfect matching of A, and the
     budget check is the matching weight.
     """
-    if not (isinstance(inst.bound, AtMost) and inst.bound.limit == 1):
-        raise WrongVariantError("solve_crc1 decides only the bound-1 variant")
+    _admit(inst, "crc1")
     order = sorted(inst.additional)
     singletons = np.eye(len(order), dtype=bool)
     alone = [_accepts(inst, d, order, singletons) for d in range(inst.k)]
@@ -355,17 +365,11 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
     vacuous.  Placing cheaply is a minimum-weight perfect b-matching where a
     slack vertex absorbs the unused district capacity.
     """
-    if not isinstance(inst.rule, TrivialScoring):
-        raise WrongVariantError("solve_trivial_scoring needs the trivial scoring rule")
+    _admit(inst, "bmatch")
     order = sorted(inst.additional)
     n = len(order)
-    if isinstance(inst.bound, AtMost):
-        level = inst.bound.limit
-    else:
-        level = n + max(len(d.candidates) for d in inst.districts)
-    delta = [
-        max(0, level - len(d.candidates)) for d in inst.districts
-    ]
+    level = _bound(inst) or n + max(len(d.candidates) for d in inst.districts)
+    delta = [max(0, level - len(d.candidates)) for d in inst.districts]
     slack_units = sum(delta) - n
     stats = {"nodes": inst.k, "capacity_total": sum(delta)}
     if slack_units < 0:
@@ -456,8 +460,7 @@ class _PlacementDP:
         self, inst: RecampaignInstance, order: list[str], limit: float = math.inf
     ) -> None:
         self.inst, self.order, self.n, self.k = inst, order, len(order), inst.k
-        bound = inst.bound.limit if isinstance(inst.bound, AtMost) else self.n
-        self.level = min(bound, self.n)
+        self.level = min(_bound(inst) or self.n, self.n)
         if self.k > 1 and self.n > 63:  # one district needs no masks
             raise ResourceBudgetError(f"{self.n} candidates exceed the 63 bits of a mask")
         rows = (self.k - 1) * sum(math.comb(self.n, s) for s in range(self.level + 1))
@@ -683,8 +686,8 @@ class CoverSystem:
 
 
 def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
-    """The admissible (district, placed-set) members, over the sets of at
-    most ℓ candidates that the DP's tables of `solve_fpt` enumerate.
+    """The admissible (district, placed-set) members over the sets of at most
+    ℓ candidates, judged on the referee's path (`election_with`, `winners`).
 
     A nonempty set A′ is admissible for district i when every member of A′
     wins the district election with exactly A′ added, the winner count stays
@@ -699,20 +702,18 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
     if inst.pricing is None:
         raise PreconditionError("price the instance first (see lift_to_priced)")
     order = sorted(inst.additional)
-    n = len(order)
-    masks = np.concatenate(list(_masks(n, min(inst.bound.limit, n), np.dtype(np.int64))))
-    placed = _mask_rows(masks, n)
-    sets = [frozenset(itertools.compress(order, row)) for row in placed.tolist()]
-    budget = inst.pricing.budget
+    limit, budget = inst.bound.limit, inst.pricing.budget
     members = []
-    for d in range(inst.k):
-        for r in _accepts(inst, d, order, placed).nonzero()[0].tolist():
-            weight = sum(inst.pricing.price(d + 1, a) for a in sets[r])
-            if weight <= budget:
-                members.append(CoverMember(d + 1, sets[r], weight))
-    return CoverSystem(
-        frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget
-    )
+    for i in range(1, inst.k + 1):
+        for size in range(min(limit, len(order)) + 1):
+            for combo in itertools.combinations(order, size):
+                placed = frozenset(combo)
+                weight = sum(inst.pricing.price(i, a) for a in combo)
+                # an untouched district carries no condition
+                wins = winners(inst.rule, inst.election_with(i, placed)) if placed else placed
+                if weight <= budget and placed <= wins and len(wins) <= limit:
+                    members.append(CoverMember(i, placed, weight))
+    return CoverSystem(frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget)
 
 
 def solve_fpt(
@@ -727,8 +728,7 @@ def solve_fpt(
     the exact-cover system, under the same node budget, and `nodes` is its
     work.  `members` counts the accepted sets in the tables the DP built.
     """
-    if not isinstance(inst.bound, AtMost):
-        raise WrongVariantError("solve_fpt decides only bounded variants")
+    _admit(inst, "fpt")
     budget = _resolve_budget(node_budget)
     if len(inst.additional) > inst.k * inst.bound.limit:
         return _reject("fpt", {"nodes": 0, "members": 0, "guard": 1})
@@ -748,12 +748,7 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     candidates or none, and larger districts absorb none.  Yes iff |A| is a
     feasible sum of those capacities.
     """
-    if not isinstance(inst.rule, E1):
-        raise WrongVariantError("solve_e1_bound3 needs the E1 rule")
-    if not (isinstance(inst.bound, AtMost) and inst.bound.limit == 3):
-        raise WrongVariantError("solve_e1_bound3 decides only the bound-3 variant")
-    if inst.pricing is not None:
-        raise WrongVariantError("solve_e1_bound3 handles unpriced instances only")
+    _admit(inst, "e1")
     n = len(inst.additional)
     hosts: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for i, d in enumerate(inst.districts, start=1):
@@ -780,12 +775,7 @@ def solve_e2_unbounded(inst: RecampaignInstance) -> SolveResult:
     the whole slate at ≥ 4 candidates); otherwise at most k³ placements
     exist and are all checked.
     """
-    if not isinstance(inst.rule, E2):
-        raise WrongVariantError("solve_e2_unbounded needs the E2 rule")
-    if not isinstance(inst.bound, Unbounded):
-        raise WrongVariantError("solve_e2_unbounded decides only the unbounded variant")
-    if inst.pricing is not None:
-        raise WrongVariantError("solve_e2_unbounded handles unpriced instances only")
+    _admit(inst, "e2")
     order = sorted(inst.additional)
     if len(order) >= 4:
         return _accept(inst, {a: 1 for a in order}, "e2-unbounded", {"nodes": 1})
@@ -799,28 +789,52 @@ def solve_e2_unbounded(inst: RecampaignInstance) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The route table and dispatch
 # ---------------------------------------------------------------------------
 
 
-def solve_auto(
-    inst: RecampaignInstance, node_budget: int | None = None
-) -> SolveResult:
-    """Route an instance to the cheapest method that decides its variant."""
-    unpriced = inst.pricing is None
-    if (
-        isinstance(inst.rule, E1)
-        and isinstance(inst.bound, AtMost)
-        and inst.bound.limit == 3
-        and unpriced
-    ):
-        return solve_e1_bound3(inst)
-    if isinstance(inst.rule, E2) and isinstance(inst.bound, Unbounded) and unpriced:
-        return solve_e2_unbounded(inst)
-    if isinstance(inst.rule, TrivialScoring):
-        return solve_trivial_scoring(inst)
-    if isinstance(inst.bound, AtMost) and inst.bound.limit == 1:
-        return solve_crc1(inst)
-    if isinstance(inst.bound, AtMost):
-        return solve_fpt(inst, node_budget)
-    return solve_brute(inst, node_budget)
+@dataclass(frozen=True)
+class Route:
+    """One method and the variant it decides: `test` says whether an instance
+    is that variant, `variant` names it in the method's `WrongVariantError`,
+    and a `budgeted` method runs the subset DP and so takes the node budget."""
+
+    method: Callable[..., SolveResult]
+    variant: str
+    test: Callable[[RecampaignInstance], bool]
+    budgeted: bool = False
+
+
+def _unpriced(rule: type, bound: int | None) -> Callable[[RecampaignInstance], bool]:
+    """The test for the unpriced instances of one rule at one bound (None: unbounded)."""
+    return lambda inst: (
+        isinstance(inst.rule, rule) and _bound(inst) == bound and inst.pricing is None
+    )
+
+
+# Keyed by `recamp solve --algorithm` value, in the order `solve_auto` tries them.
+ROUTES: dict[str, Route] = {
+    "e1": Route(solve_e1_bound3, "unpriced E1 at bound 3", _unpriced(E1, 3)),
+    "e2": Route(solve_e2_unbounded, "unpriced unbounded E2", _unpriced(E2, None)),
+    "bmatch": Route(
+        solve_trivial_scoring,
+        "the trivial scoring rule",
+        lambda inst: isinstance(inst.rule, TrivialScoring),
+    ),
+    "crc1": Route(solve_crc1, "bound 1", lambda inst: _bound(inst) == 1),
+    "fpt": Route(solve_fpt, "bounded variants", lambda inst: _bound(inst) is not None, True),
+    "brute": Route(solve_brute, "every variant", lambda inst: True, True),
+}
+
+
+def _admit(inst: RecampaignInstance, name: str) -> None:
+    """Refuse an instance that route `name` does not decide."""
+    route = ROUTES[name]
+    if not route.test(inst):
+        raise WrongVariantError(f"{route.method.__name__} decides only {route.variant}")
+
+
+def solve_auto(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
+    """Decide by the first route of `ROUTES` whose test holds."""
+    route = next(route for route in ROUTES.values() if route.test(inst))
+    return route.method(inst, node_budget) if route.budgeted else route.method(inst)

@@ -18,7 +18,15 @@ from recamp import (
     TrivialScoring,
     UNBOUNDED,
     decide_x3c,
+    e33dm_to_1approval,
+    e33dm_to_scoring,
+    r3dm_to_exactly3,
+    sat_to_approval_unbounded,
+    x3c_to_approval,
+    x3c_to_e1_priced,
+    x3c_to_veto,
 )
+from recamp import cli
 from recamp.cli import main
 from recamp.formats import (
     parse_3dm,
@@ -368,6 +376,67 @@ class TestReduce:
             "reduce", src_path, "--from", "x3c", "--to", "approval2", "-o", tmp_path / "o"
         )
         assert code == 2
+
+
+R3DM_SHORT = R3DMInstance(
+    ["w1", "w2"], ["x1", "x2"], ["y1", "y2"], [("w1", "x1", "y1"), ("w2", "x2", "y2")]
+)
+E33_PADDED = r3dm_to_exactly3(R3DM_SHORT)
+
+# Every reduce pair: (source file, extra options, the file the library writes).
+REDUCE_CASES = {
+    ("x3c", "e1priced"): (
+        render_x3c(X3C_YES), [], render_instance(x3c_to_e1_priced(X3C_YES))
+    ),
+    ("x3c", "approvalL"): (
+        render_x3c(X3C_YES), ["--t", 2], render_instance(x3c_to_approval(X3C_YES, 2, UNBOUNDED))
+    ),
+    ("x3c", "vetoL"): (
+        render_x3c(X3C_NO),
+        ["--bound", 3],
+        render_instance(x3c_to_veto(X3C_NO, 1, AtMost(3))),
+    ),
+    ("r3dm", "e33dm"): (render_3dm(R3DM_SHORT), [], render_3dm(E33_PADDED)),
+    ("r3dm", "approval2"): (
+        render_3dm(R3DM_SHORT), [], render_instance(e33dm_to_1approval(E33_PADDED))
+    ),
+    ("r3dm", "scoring2"): (
+        render_3dm(R3DM_SHORT),
+        ["--rule", "borda"],
+        render_instance(e33dm_to_scoring(E33_PADDED, Borda())),
+    ),
+    ("e33dm", "approval2"): (render_3dm(E33_A), [], render_instance(e33dm_to_1approval(E33_A))),
+    ("e33dm", "scoring2"): (
+        render_3dm(E33_A),
+        ["--rule", "approval:2"],
+        render_instance(e33dm_to_scoring(E33_A, TApproval(2))),
+    ),
+    ("e3sat", "sat2districts"): (
+        render_sat(SAT_YES6), [], render_instance(sat_to_approval_unbounded(SAT_YES6, 1))
+    ),
+}
+
+
+class TestReduceTable:
+    def test_every_pair_is_covered(self):
+        assert set(REDUCE_CASES) == set(cli._REDUCTIONS)
+
+    @pytest.mark.parametrize("pair", sorted(REDUCE_CASES))
+    def test_pair_writes_what_the_library_builds(self, run, tmp_path, pair):
+        text, options, want = REDUCE_CASES[pair]
+        src_path, out_path = tmp_path / "src.json", tmp_path / "out.json"
+        src_path.write_text(text)
+        argv = ["reduce", src_path, "--from", pair[0], "--to", pair[1], *options]
+        code, _ = run(*argv, "-o", out_path)
+        assert code == 0
+        assert out_path.read_text() == want
+
+    def test_scoring2_from_r3dm_requires_rule(self, run, tmp_path):
+        src_path, out_path = tmp_path / "src.json", tmp_path / "out.json"
+        src_path.write_text(render_3dm(R3DM_SHORT))
+        code, _ = run("reduce", src_path, "--from", "r3dm", "--to", "scoring2", "-o", out_path)
+        assert code == 2
+        assert not out_path.exists()
 
 
 class TestGen:

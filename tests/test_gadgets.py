@@ -205,9 +205,9 @@ class TestDeciders:
         assert decide_x3c(X3CInstance([], []))
 
     def test_x3c_budget(self):
-        inst = X3CInstance(["u1", "u2", "u3"], [("u1", "u2", "u3")])
+        inst = X3CInstance(["u1", "u2", "u3"], [("u1", "u2", "u3")] * 2)
         with pytest.raises(ResourceBudgetError):
-            decide_x3c(inst, node_budget=0)
+            decide_x3c(inst, node_budget=1)
 
     def test_3dm_single_triple(self):
         inst = R3DMInstance(["w1"], ["x1"], ["y1"], [("w1", "x1", "y1")])
@@ -236,9 +236,14 @@ class TestDeciders:
         assert decide_3dm(E33_A) and decide_3dm(E33_B) and decide_3dm(E33_C)
 
     def test_3dm_budget(self):
-        inst = R3DMInstance(["w1"], ["x1"], ["y1"], [("w1", "x1", "y1")])
+        inst = R3DMInstance(
+            ["w1", "w2"],
+            ["x1", "x2"],
+            ["y1", "y2"],
+            [("w1", "x1", "y1"), ("w2", "x2", "y2"), ("w1", "x2", "y2")],
+        )
         with pytest.raises(ResourceBudgetError):
-            decide_3dm(inst, node_budget=0)
+            decide_3dm(inst, node_budget=2)
 
     def test_e3sat_repeat_clause(self):
         inst = OneInThreeSatInstance(
@@ -571,6 +576,43 @@ class TestSatToApproval:
         assert not solve_brute(sat_to_approval_unbounded(SAT_NO4, t)).answer
         result = solve_brute(sat_to_approval_unbounded(SAT_YES6, t))
         assert result.answer == decide_e3sat(SAT_YES6) == True  # noqa: E712
+
+
+def _as_s1(src: OneInThreeSatInstance) -> OneInThreeSatInstance:
+    """The same formula with variable x1 renamed s1, a shield's name."""
+    rename = {"x1": "s1"}
+    return OneInThreeSatInstance(
+        [rename.get(v, v) for v in src.variables],
+        [[rename.get(v, v) for v in clause] for clause in src.clauses],
+    )
+
+
+class TestGadgetNameCollisions:
+    """A source name that is also a gadget candidate's base name: the gadget
+    candidate takes an apostrophe, and the reduction still decides as the
+    source does."""
+
+    UNIVERSE = ["d1.s", "d1.b1.1", "u3", "u4", "u5", "u6"]
+    X3C_CLASH_YES = X3CInstance(
+        UNIVERSE, [("d1.s", "d1.b1.1", "u3"), ("u4", "u5", "u6"), ("d1.s", "u4", "u5")]
+    )
+    X3C_CLASH_NO = X3CInstance(
+        UNIVERSE, [("d1.s", "d1.b1.1", "u3"), ("d1.s", "u4", "u5"), ("u3", "u4", "u6")]
+    )
+
+    @pytest.mark.parametrize("build", [x3c_to_approval, x3c_to_veto])
+    @pytest.mark.parametrize("src", [X3C_CLASH_YES, X3C_CLASH_NO])
+    def test_x3c(self, build, src):
+        inst = build(src, 2, AtMost(3))
+        assert {"d1.s'", "d1.b1.1'"} <= inst.districts[0].candidates
+        assert solve_brute(inst).answer == decide_x3c(src)
+
+    @pytest.mark.parametrize("src", [_as_s1(SAT_YES6), _as_s1(SAT_NO4)])
+    def test_sat(self, src):
+        inst = sat_to_approval_unbounded(src, 1)
+        assert "s1" in inst.additional
+        assert "s1'" in inst.districts[0].candidates | inst.districts[1].candidates
+        assert solve_brute(inst).answer == decide_e3sat(src)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recamp import (
+    ApprovalVote,
     AtMost,
+    BallotTypeError,
     Borda,
     Condorcet,
     District,
@@ -22,11 +24,14 @@ from recamp import (
     ExplicitScoringFamily,
     LinearVote,
     MissingVectorError,
+    OneInThreeSatInstance,
     Pricing,
     PreconditionError,
+    R3DMInstance,
     RandomInstanceParams,
     RecampaignInstance,
     ResourceBudgetError,
+    ShapeError,
     TApproval,
     TrivialScoring,
     TVeto,
@@ -34,8 +39,12 @@ from recamp import (
     WrongVariantError,
     X3CInstance,
     build_exact_cover_system,
+    decide_3dm,
+    decide_e3sat,
     decide_x3c,
+    is_k_winner,
     random_instance,
+    scoring_vector,
     solve_auto,
     solve_brute,
     solve_crc1,
@@ -47,8 +56,8 @@ from recamp import (
     winners,
     x3c_to_approval,
 )
-from recamp import solvers
-from recamp.solvers import _accepts
+from recamp import formats, solvers
+from recamp.solvers import ROUTES, _accepts
 
 from oracles import exact_cover_scan, placement_scan
 
@@ -867,6 +876,23 @@ class TestSolveE1Bound3:
         inst = random_instance(params, seed)
         assert checked(inst, solve_e1_bound3(inst)).answer == solve_brute(inst).answer
 
+    def test_approval_ballots(self):
+        """E1 is the one rule that takes approval ballots: they survive a
+        format round trip and restriction, and every other rule refuses them."""
+        ballots = (ApprovalVote({"c", "a"}), ApprovalVote({"b"}), ApprovalVote(()))
+        inst = RecampaignInstance(
+            E1(), (District(["c"], ballots), District(["d"])), frozenset({"a", "b"}), AtMost(3)
+        )
+        assert formats.parse_instance(formats.render_instance(inst)) == inst
+        result = checked(inst, solve_auto(inst))
+        assert (result.answer, result.algorithm) == (True, "e1-bound3")
+        assert result.assignment.placement == {"a": 1, "b": 1}
+        with pytest.raises(BallotTypeError):
+            dataclasses.replace(inst, rule=TApproval(1))
+        stray = District(["c"], (ApprovalVote({"c", "zz"}),))
+        with pytest.raises(ShapeError):
+            dataclasses.replace(inst, districts=(stray, District(["d"])))
+
 
 class TestSolveE2Unbounded:
     def test_four_arrivals_always_win(self):
@@ -971,3 +997,84 @@ class TestSolveAuto:
         inst = random_instance(params, seed)
         result = checked(inst, solve_auto(inst))
         assert result.answer == solve_brute(inst).answer
+
+
+ROUTE_RULES = [
+    TApproval(1),
+    TApproval(2),
+    TVeto(1),
+    Borda(),
+    ExplicitScoringFamily([tuple(range(m, 0, -1)) for m in range(1, 9)]),
+    Condorcet(),
+    TrivialScoring(),
+    E1(),
+    E2(),
+]
+
+
+class TestRouteTable:
+    def test_solve_auto_order(self):
+        assert list(ROUTES) == ["e1", "e2", "bmatch", "crc1", "fpt", "brute"]
+
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_each_method_decides_exactly_its_rows_variant(self, seed):
+        """A method raises WrongVariantError exactly when its row's test
+        rejects the instance; the routes that accept it agree, and
+        `solve_auto` answers with the label of the first of them."""
+        rng = random.Random(seed)
+        params = RandomInstanceParams(
+            districts=rng.randint(1, 3),
+            additional=rng.randint(0, 4),
+            rule=rng.choice(ROUTE_RULES),
+            bound=rng.choice([AtMost(1), AtMost(2), AtMost(3), UNBOUNDED]),
+            priced=bool(rng.getrandbits(1)),
+        )
+        inst = random_instance(params, seed)
+        decided = {}
+        for name, route in ROUTES.items():
+            if route.test(inst):
+                decided[name] = checked(inst, route.method(inst))
+            else:
+                with pytest.raises(WrongVariantError, match=route.variant):
+                    route.method(inst)
+        assert {result.answer for result in decided.values()} == {decided["brute"].answer}
+        assert solve_auto(inst).algorithm == next(iter(decided.values())).algorithm
+
+
+_PROBE = RecampaignInstance(
+    TApproval(1), (District([]), District([])), frozenset({"a", "b", "c"}), UNBOUNDED
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: scoring_vector(Borda(), True), id="scoring_vector-bool"),
+        pytest.param(
+            lambda: is_k_winner(TApproval(1), THREE_VOTES, "a", True), id="is_k_winner-bool"
+        ),
+        pytest.param(lambda: solve_brute(_PROBE, node_budget=True), id="brute-bool"),
+        pytest.param(lambda: solve_brute(_PROBE, node_budget=2.5), id="brute-float"),
+        pytest.param(lambda: solve_auto(_PROBE, node_budget=True), id="auto-bool"),
+        pytest.param(
+            lambda: decide_x3c(X3CInstance(["u1", "u2", "u3"], [("u1", "u2", "u3")]), 0),
+            id="decide_x3c-zero",
+        ),
+        pytest.param(
+            lambda: decide_3dm(R3DMInstance(["w1"], ["x1"], ["y1"], [("w1", "x1", "y1")]), -5),
+            id="decide_3dm-negative",
+        ),
+        pytest.param(
+            lambda: decide_e3sat(
+                OneInThreeSatInstance(["x1", "x2", "x3"], [("x1", "x2", "x3")] * 3), True
+            ),
+            id="decide_e3sat-bool",
+        ),
+    ],
+)
+def test_counts_and_budgets_must_be_ints(call):
+    """A bool or a float is no count: each is a usage error, not a budget
+    of 1 or a one-candidate election."""
+    with pytest.raises(ShapeError):
+        call()
