@@ -10,10 +10,12 @@ trivial rule, `e1` and `e2` on their unpriced variants.  Every answer must
 match `placement_scan` from `tests/oracles.py`, which checks every placement
 with `verify` and shares no code with the solvers' district oracle.  Past
 its n > k·ℓ guard `fpt` runs the DP of `brute`, so the two must return the
-same assignment, cost and `nodes`.  Every draw is decided once more by
-`solve_brute` with each district's ballots cast twice: doubling keeps
-every scoring winner and every strict majority, so the answer must not
-change, and the oracle's ballot blocks then hold repeated ballots.  Every
+same assignment, cost and `nodes`.  Every draw is decided twice more by
+`solve_brute`, with each district's ballots cast twice and cast 256 times:
+repeating every ballot equally often keeps every scoring winner and every
+strict majority, so the answer must not change.  Doubling puts repeated
+ballots in the oracle's ballot blocks; 256 copies take every district that
+has ballots past 255 of them, so its tallies no longer fit one byte.  Every
 YES must report the cost `verify` computes for its witness, and on the
 matching routes (`crc1-matching`, `b-matching`) that cost must be the
 scan's minimum, so the two matching engines agree wherever both apply.
@@ -85,9 +87,9 @@ def cost_errors(inst, result, best_cost) -> list[str]:
     return errors
 
 
-def doubled(inst):
-    """The instance with each district's ballots cast twice."""
-    districts = tuple(District(d.candidates, d.votes * 2) for d in inst.districts)
+def recast(inst, times):
+    """The instance with each district's ballots cast `times` times."""
+    districts = tuple(District(d.candidates, d.votes * times) for d in inst.districts)
     return dataclasses.replace(inst, districts=districts)
 
 
@@ -142,11 +144,12 @@ def run(args: argparse.Namespace) -> int:
                 != (slow.assignment, slow.cost, slow.statistics["nodes"])
             ):
                 errors.append(f"fpt and brute differ: {fpt} vs {slow}")
-            twice_inst = doubled(inst)
-            twice = solve_brute(twice_inst, node_budget=args.node_budget)
-            errors += cost_errors(twice_inst, twice, best_cost)
-            if twice.answer != scan:
-                errors.append(f"brute with doubled ballots={twice.answer} scan={scan}")
+            for times in (2, 256):
+                recast_inst = recast(inst, times)
+                again = solve_brute(recast_inst, node_budget=args.node_budget)
+                errors += cost_errors(recast_inst, again, best_cost)
+                if again.answer != scan:
+                    errors.append(f"brute, ballots cast {times} times={again.answer} scan={scan}")
             if errors:
                 disagree += 1
                 failures += 1

@@ -323,6 +323,13 @@ class RandomInstanceParams:
     bound: WinnerBound = UNBOUNDED
     priced: bool = False
 
+    def __post_init__(self) -> None:
+        least = {"districts": 1, "additional": 0, "max_district_candidates": 0, "max_votes": 0}
+        for name, floor in least.items():
+            value = getattr(self, name)
+            if not is_int(value) or value < floor:
+                raise ShapeError(f"{name} must be an int >= {floor}, got {value!r}")
+
 
 def random_instance(params: RandomInstanceParams, seed: int) -> RecampaignInstance:
     """Draw a random instance, deterministically in `seed`.
@@ -330,8 +337,6 @@ def random_instance(params: RandomInstanceParams, seed: int) -> RecampaignInstan
     Ballots are uniformly random total orders over each district's full pool;
     prices are uniform on 0..10 and the budget uniform on 0..10·|A|.
     """
-    if params.districts < 1 or params.additional < 0:
-        raise ShapeError("need at least one district and a nonnegative |A|")
     rng = random.Random(seed)
     extra = [f"a{j}" for j in range(1, params.additional + 1)]
     districts = []

@@ -21,7 +21,11 @@ instance with `WrongVariantError`, and the CLI's `--algorithm` comes from it.
 crc1 (singletons) and the DP (the sets of at most ℓ candidates, or every
 set unbounded, for districts 1..k-1, the complements of the sets they can
 take for district k) ask one batched question, `_accepts`: which sets
-S ⊆ A does district i accept, electing all of S within the bound?  `verify`
+S ⊆ A, given as bit masks, does district i accept, electing all of S within
+the bound?  Its scoring kernel ranks in narrow lanes and tallies in the
+narrowest unsigned type that holds the district's ballots times the largest
+point; explicit vectors are shifted by their least entry first, and a
+district whose tally would not fit 64 bits is refused.  `verify`
 stays on the object path as the independent referee for every YES, and
 every reported cost is the one `verify` computes, in Python ints.  Prices
 enter int64 clipped to budget + 1, since a price above the budget is never
@@ -191,66 +195,120 @@ def _price_matrix(
 # oracle's kernels covers; a table at least this large goes a ballot at a time.
 _BLOCK_CELLS = 1 << 16
 
-_SCORE_SENTINEL = np.iinfo(np.int64).min // 4
+# Below this many 64-bit words per position (ballots × lanes), one strided
+# accumulate ranks a block faster than an add per position (the two crossed
+# near 300 words on a 2-core x86 machine: crc1's short singleton rows below,
+# the DP's tables above).
+_ADD_WORDS = 256
+
+_UINT64_MAX = int(np.iinfo(np.uint64).max)
 
 
 def _ballots(votes, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """(perms, pos): perms[v, p] is the candidate at position p of ballot v,
-    and pos[v, c] the position of candidate c, its inverse."""
+    and pos[v, c] the position of candidate c, its inverse.  The ballots
+    are restricted to the candidates of `index`, which can leave out
+    additional candidates when crc1 asks about 63 at a time."""
+    orders = [vote.order for vote in votes]
+    if orders and len(orders[0]) > len(index):
+        orders = [[c for c in order if c in index] for order in orders]
     perms = np.array(
-        [[index[c] for c in vote.order] for vote in votes], dtype=np.intp
+        [[index[c] for c in order] for order in orders], dtype=np.intp
     ).reshape(len(votes), len(index))
     return perms, perms.argsort(axis=1)
+
+
+def _explicit_points(rule: ExplicitScoringFamily, size: np.ndarray) -> list[list[int]]:
+    """alpha[m][p]: the points at position p (1-based) of m candidates, for
+    each count in `size`, each vector shifted by its least entry.  Every
+    candidate present gains that entry once per ballot, so the winners do
+    not change, and the points start at 0."""
+    top = int(size.max(initial=0))
+    alpha = [[0] * (top + 1) for _ in range(top + 1)]
+    for m in np.unique(size).tolist():
+        if m >= 1:
+            vector = scoring_vector(rule, m)
+            least = min(vector)
+            alpha[m][1:] = [p - least for p in vector] + [0] * (top - m)
+    return alpha
 
 
 def _scoring_winners(
     rule, perms: np.ndarray, pos: np.ndarray, present: np.ndarray, size: np.ndarray
 ) -> np.ndarray:
-    """winner[c, r]: c wins the scoring election on the candidates present in column r.
+    """winner[c, r]: c wins the scoring election on the candidates present
+    in column r (a column with none present is the empty set, whose winners
+    do not matter).
 
     `present` is candidates-major, one column per placed set.  A block of
     ballots, at most _BLOCK_CELLS cells and at least one ballot, is ranked
-    at once: each ballot takes the rows of `present` in its order, and one
-    cumsum along the positions gives every candidate its rank in every set.
-    The ranks are narrow unsigned integers that never exceed the candidate
-    count, so the cumsum adds them as lanes of 64-bit words, several sets
-    per add, with no carry crossing from one lane into the next.  They are
-    gathered back to candidate order by the inverse permutation, and the
-    points are taken from them and summed over the block into the scores.
-    An absent candidate's rank is garbage, masked once at the end."""
+    at once, positions-major: each ballot takes the rows of `present` in its
+    order, and adding each position's row into the next gives every
+    candidate its rank in every set (one strided accumulate does the same
+    faster when a position holds fewer than _ADD_WORDS words).  The ranks
+    are narrow unsigned integers that never exceed the candidate count, so
+    the adds take them as lanes of 64-bit words, several sets per add, with
+    no carry crossing from one lane into the next.  They are gathered back
+    to candidate order by the inverse permutation, and the points are taken
+    from them and summed over the ballots in the narrowest unsigned type
+    that holds the ballot count times the largest point, plus one: explicit
+    vectors are shifted by their least entry first, and a tally past 64 bits
+    is refused.  An absent candidate's rank and points are garbage;
+    `scores + 1` times `present` masks them to 0, below every present
+    candidate's."""
     width, rows = present.shape
+    votes = len(perms)
+    if isinstance(rule, ExplicitScoringFamily):
+        alpha = _explicit_points(rule, size)
+        top = max(map(max, alpha))
+    else:
+        top = width - 1 if isinstance(rule, Borda) else 1
+    if not votes:  # every candidate present ties at 0 points
+        return present.copy()
+    if votes * top + 1 > _UINT64_MAX:
+        raise PreconditionError(
+            f"{votes} ballots times a point spread of {top} do not fit a 64-bit tally"
+        )
+    tally = np.min_scalar_type(votes * top + 1)
     rank = np.min_scalar_type(width)
+    ones = present.astype(rank)
     pad = -rows % (8 // rank.itemsize)
     if pad:
-        present = np.concatenate((present, np.zeros((width, pad), dtype=bool)), axis=1)
+        ones = np.concatenate((ones, np.zeros((width, pad), dtype=rank)), axis=1)
         size = np.concatenate((size, np.zeros(pad, dtype=size.dtype)))
+    if isinstance(rule, (TApproval, TVeto)):
+        t = min(rule.t, width)  # in Python ints, so no t overflows
     if isinstance(rule, ExplicitScoringFamily):
-        alpha = np.zeros((int(size.max(initial=0)) + 1,) * 2, dtype=np.int64)
-        for m in np.unique(size).tolist():
-            if m >= 1:
-                alpha[m, 1 : m + 1] = scoring_vector(rule, m)
+        alpha = np.array(alpha, dtype=tally)
     elif isinstance(rule, TVeto):
-        cutoff = np.maximum(size - rule.t, 0).astype(rank)
-    ones = present.astype(rank)
+        cutoff = np.maximum(size - t, 0).astype(rank)
+    elif isinstance(rule, Borda):
+        size = size.astype(rank)
+    scores = np.zeros(ones.shape, dtype=tally)
     block = max(1, _BLOCK_CELLS // max(1, ones.size))
-    scores = np.zeros(present.shape, dtype=np.int64)
-    for start in range(0, len(perms), block):
-        lanes = ones[perms[start : start + block]].view(np.uint64)
-        lanes = lanes.cumsum(axis=1, dtype=np.uint64)
+    for start in range(0, votes, block):
+        at = perms[start : start + block].T
+        lanes = ones[at]  # (positions, ballots, columns)
+        words = lanes.view(np.uint64)
+        if words.size >= _ADD_WORDS * width:
+            for p in range(1, width):
+                words[p] += words[p - 1]
+        else:
+            np.add.accumulate(words, axis=0, out=words)
         inv = pos[start : start + block]
-        ranks = lanes.view(rank)[np.arange(len(inv))[:, None], inv]
+        ranks = lanes[inv, np.arange(len(inv))[:, None]]  # (ballots, candidates, columns)
         if isinstance(rule, TApproval):
-            points = ranks <= rule.t
+            points = (ranks <= t).view(np.uint8)
         elif isinstance(rule, TVeto):
-            points = ranks <= cutoff
+            points = (ranks <= cutoff).view(np.uint8)
         elif isinstance(rule, Borda):
             points = size - ranks
         else:  # ExplicitScoringFamily
             points = alpha[size, ranks]
-        scores += points.sum(axis=0, dtype=np.int64)
-    masked = np.where(present, scores, _SCORE_SENTINEL)
-    winner = present & (masked == masked.max(axis=0, initial=_SCORE_SENTINEL))
-    return winner[:, :rows]
+        scores += points.sum(axis=0, dtype=tally)
+    scores += 1
+    scores *= ones
+    return (scores == scores.max(axis=0, initial=0))[:, :rows]
 
 
 def _condorcet_winners(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -273,31 +331,33 @@ def _condorcet_winners(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 
 def _accepts(
-    inst: RecampaignInstance, d: int, order: list[str], placed: np.ndarray
+    inst: RecampaignInstance, d: int, order: list[str], masks: np.ndarray
 ) -> np.ndarray:
-    """verdict[r]: district d (0-based) accepts exactly the set placed in row r.
+    """verdict[r]: district d (0-based) accepts exactly the set masks[r].
 
-    `placed` is a boolean matrix with one column per candidate of `order`.
-    A row is accepted when every candidate it places wins district d with
-    exactly those candidates added and, under a bound ℓ, the district has
-    at most ℓ winners.  The empty row is always accepted: untouched
-    districts carry no condition.
+    Bit n-1-j of a mask stands for order[j], as in the DP; an object array
+    of Python ints holds a set of more than 63.  A row is accepted when
+    every candidate it places wins district d with exactly those candidates
+    added and, under a bound ℓ, the district has at most ℓ winners.  The
+    empty row is always accepted: untouched districts carry no condition.
     """
     rule = inst.rule
     district = inst.districts[d]
     own = sorted(district.candidates)
-    pop = placed.sum(axis=1)
-    size = len(own) + pop
+    bound = _bound(inst)
+    pop = np.bitwise_count(masks)
+    size = pop.astype(np.intp) + len(own)
     if isinstance(rule, TrivialScoring):
-        placed_win = np.ones(len(placed), dtype=bool)
+        placed_win = np.ones(len(masks), dtype=bool)
         win_count = size
     elif isinstance(rule, E1):
         placed_win = size == 3
         win_count = np.where(placed_win, 3, 0)
     else:
         index = {c: j for j, c in enumerate(own + order)}
-        present = np.ones((len(index), len(placed)), dtype=bool)
-        present[len(own):] = placed.T
+        present = np.ones((len(index), len(masks)), dtype=bool)
+        bits = np.left_shift(1, np.arange(len(order) - 1, -1, -1, dtype=masks.dtype))
+        np.not_equal(masks & bits[:, None], 0, out=present[len(own) :])
         perms, pos = _ballots(district.votes, index)
         if isinstance(rule, Condorcet):
             winner = _condorcet_winners(pos, present)
@@ -306,11 +366,15 @@ def _accepts(
             winner[:, size >= 4] = present[:, size >= 4]
         else:
             winner = _scoring_winners(rule, perms, pos, present, size)
-        placed_win = (winner[len(own):] | ~present[len(own):]).all(axis=0)
-        win_count = winner.sum(axis=0)
+        # No absent candidate wins a column with one present, and a column
+        # with none is the empty set, accepted below.
+        placed = winner[len(own) :].sum(axis=0, dtype=np.min_scalar_type(len(order)))
+        placed_win = placed == pop
+        if bound is not None:
+            win_count = winner.sum(axis=0, dtype=np.min_scalar_type(len(index)))
     verdict = placed_win
-    if isinstance(inst.bound, AtMost):
-        verdict = verdict & (win_count <= inst.bound.limit)
+    if bound is not None:
+        verdict = verdict & (win_count <= bound)
     return verdict | (pop == 0)
 
 
@@ -325,12 +389,18 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     A candidate can be sent to a district iff it would be the unique winner
     there on its own; with bound 1 no district can absorb two additional
     candidates, so feasibility is exactly a perfect matching of A, and the
-    budget check is the matching weight.
+    budget check is the matching weight.  The oracle is asked about the
+    singletons 63 candidates (the bits of an int64 mask) at a time.
     """
     _admit(inst, "crc1")
     order = sorted(inst.additional)
-    singletons = np.eye(len(order), dtype=bool)
-    alone = [_accepts(inst, d, order, singletons) for d in range(inst.k)]
+    alone = np.zeros((inst.k, len(order)), dtype=bool)
+    for start in range(0, len(order), 63):
+        part = order[start : start + 63]
+        singletons = np.left_shift(1, np.arange(len(part) - 1, -1, -1, dtype=np.int64))
+        for d in range(inst.k):
+            alone[d, start : start + len(part)] = _accepts(inst, d, part, singletons)
+    alone = alone.tolist()
     edges = [
         (j, i, inst.pricing.price(i + 1, a) if inst.pricing else 0, 1)
         for j, a in enumerate(order)
@@ -442,15 +512,17 @@ class _PlacementDP:
     c when it first needs it, and keeps only the sets of at least
     n - (k-c)·level candidates, as the k-c districts left take at most
     level each.  The masks of the tables come a _CHUNK_ROWS chunk at a
-    time; a lone chunk is kept, with its rows, as `lone`.  The last
-    district has no table: it is asked only about the complements of the
-    sets of `fwd[k-1]`.  `limit` is the node budget: the DP is refused up
+    time and go to the oracle as they are; a chunk carries its rows, to be
+    priced, only when some price is nonzero (`priced`), and a lone chunk is
+    kept as `lone`.  The last district has no table: it is asked only about
+    the complements of the sets of `fwd[k-1]`.  `limit` is the node budget: the DP is refused up
     front when its tables' (k-1)·Σ_{s≤level} C(n, s) rows exceed it (below
     n, `_masks` holds a table's masks at once, so this guards memory too),
     and stops once `work`, the oracle rows asked plus the disjoint pairs
     tried, exceeds it; both raise a resource error.
 
-    Masks are int32 up to 30 candidates and int64 up to 63.  Prices take
+    Masks are int32 up to 30 candidates and int64 up to 63; past 63, one
+    district asks about all of A as a Python int.  Prices take
     the narrowest unsigned type that holds 2·cap + 1, one byte when
     unpriced: a stored price is at most cap + 1 ("over budget"), so adding
     two never wraps.
@@ -472,10 +544,11 @@ class _PlacementDP:
                     scoring_vector(inst.rule, size)
         self.limit, self.work = limit, 0
         self.prices, self.cap = _price_matrix(inst, order, self.level)
-        self.word = np.dtype(np.int32 if self.n <= 30 else np.int64)
+        self.priced = bool(self.prices.any())
+        self.word = np.dtype(np.int32 if self.n <= 30 else np.int64 if self.n <= 63 else object)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
-        self.lone: tuple[np.ndarray, np.ndarray] | None = None
+        self.lone: tuple[np.ndarray, np.ndarray | None] | None = None
         self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
@@ -485,14 +558,15 @@ class _PlacementDP:
             raise ResourceBudgetError(f"the DP's work passed the node budget {self.limit}")
 
     def _chunks(self):
-        """Each chunk of masks with its rows.  A lone chunk is enumerated
-        once and kept for every table; more chunks are enumerated again for
-        each table, so memory stays bounded."""
+        """Each chunk of masks with its rows, or None unpriced, where no
+        price is asked.  A lone chunk is enumerated once and kept for every
+        table; more chunks are enumerated again for each table, so memory
+        stays bounded."""
         if self.lone is not None:
             yield self.lone
             return
         for i, span in enumerate(_masks(self.n, self.level, self.word)):
-            chunk = span, _mask_rows(span, self.n)
+            chunk = span, _mask_rows(span, self.n) if self.priced else None
             if i == 0 and len(span) < _CHUNK_ROWS:  # the only chunk
                 self.lone = chunk
             yield chunk
@@ -502,12 +576,16 @@ class _PlacementDP:
         their prices; the oracle is asked a chunk of masks at a time."""
         masks, costs = [], []
         for span, placed in self._chunks():
-            cost = placed @ self.prices[:, d]
-            ok = (cost <= self.cap).nonzero()[0]
-            self._spend(len(ok))
-            ok = ok[_accepts(self.inst, d, self.order, placed[ok])]
+            if placed is None:  # unpriced: every set is within the budget
+                cost = np.zeros(len(span), dtype=self.price)
+            else:
+                cost = placed @ self.prices[:, d]
+                ok = cost <= self.cap
+                span, cost = span[ok], cost[ok].astype(self.price)
+            self._spend(len(span))
+            ok = _accepts(self.inst, d, self.order, span)
             masks.append(span[ok])
-            costs.append(cost[ok].astype(self.price))
+            costs.append(cost[ok])
         return np.concatenate(masks), np.concatenate(costs)
 
     def _pairs(self, left: np.ndarray, right: np.ndarray):
@@ -554,12 +632,16 @@ class _PlacementDP:
         accepts within the budget, with the budget it leaves; None if none."""
         reach, reach_cost = self.fwd[-1]
         for start in range(0, len(reach), _CHUNK_ROWS):
-            placed = _mask_rows(self.full ^ reach[start : start + _CHUNK_ROWS], self.n)
-            # clipped into the price type: a mixed sum would go through float64
-            togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
-            ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
+            rest = self.full ^ reach[start : start + _CHUNK_ROWS]
+            if self.priced:
+                placed = _mask_rows(rest, self.n)
+                # clipped into the price type: a mixed sum would go through float64
+                togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
+                ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
+            else:  # every price 0: each complement is within the budget
+                togo, ok = np.zeros(len(rest), dtype=self.price), np.arange(len(rest))
             self._spend(len(ok))
-            ok = ok[_accepts(self.inst, self.k - 1, self.order, placed[ok])]
+            ok = ok[_accepts(self.inst, self.k - 1, self.order, rest[ok])]
             if len(ok):
                 return int(reach[start + ok[0]]), self.cap - int(togo[ok[0]])
         return None
@@ -577,7 +659,7 @@ class _PlacementDP:
         if self.k == 1:
             self._spend(1)
             fits = self.level == self.n and self.prices[:, 0].sum() <= self.cap
-            everyone = np.ones((1, self.n), dtype=bool)
+            everyone = np.array([self.full], dtype=self.word)
             if fits and _accepts(self.inst, 0, self.order, everyone)[0]:
                 return [1] * self.n
             return None

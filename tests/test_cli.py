@@ -9,6 +9,7 @@ from recamp import (
     AtMost,
     Borda,
     District,
+    ExplicitScoringFamily,
     LinearVote,
     OneInThreeSatInstance,
     Pricing,
@@ -140,6 +141,16 @@ class TestSolve:
         code, out = run("solve", path)
         assert code == 0
         assert json.loads(out)["assignment"]["placement"] == {a: 1 for a in arrivals}
+
+    def test_explicit_scores_past_64_bits_are_usage_error(self, tmp_path, capsys):
+        # Two ballots over a point spread of 2^64 do not fit a 64-bit tally.
+        rule = ExplicitScoringFamily([[0], [2**64, 0]])
+        ballots = [LinearVote(["a", "x"]), LinearVote(["x", "a"])]
+        inst = RecampaignInstance(rule, (District(["x"], ballots),), frozenset("a"), UNBOUNDED)
+        path = tmp_path / "wide.json"
+        path.write_text(render_instance(inst))
+        assert main(["solve", str(path)]) == 2
+        assert "64-bit tally" in capsys.readouterr().err
 
     def test_wrong_variant_is_usage_error(self, run, worked_example_file, capsys):
         code = main(["solve", str(worked_example_file), "--algorithm", "crc1"])
@@ -474,6 +485,15 @@ class TestGen:
         text = path.read_text()
         assert text.endswith("\n")
         assert render_instance(parse_instance(text)) == text
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-votes", -1), ("--max-candidates", -1), ("-k", 0), ("-n", -1)]
+    )
+    def test_bad_counts_are_usage_errors(self, run, tmp_path, flag, value):
+        path = tmp_path / "x.json"
+        code, _ = run("gen", "-k", 1, "-n", 1, "--rule", "borda", flag, value, "-o", path)
+        assert code == 2
+        assert not path.exists()
 
     def test_bad_rule_spelling(self, run, tmp_path):
         code, _ = run("gen", "-k", 1, "-n", 1, "--rule", "plurality", "-o", tmp_path / "x")

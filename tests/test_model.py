@@ -323,6 +323,21 @@ class TestRandomInstance:
         with pytest.raises(ShapeError):
             random_instance(RandomInstanceParams(districts=1, additional=-1, rule=Borda()), 0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_votes", -1),
+            ("max_district_candidates", -1),
+            ("districts", True),
+            ("additional", 1.5),
+        ],
+    )
+    def test_counts_are_checked_on_construction(self, field, value):
+        # A negative count used to reach random.randrange as a ValueError.
+        counts = {"districts": 1, "additional": 1, field: value}
+        with pytest.raises(ShapeError, match=field):
+            RandomInstanceParams(rule=Borda(), **counts)
+
 
 # ---------------------------------------------------------------------------
 # Containment / strictness invariants

@@ -196,6 +196,22 @@ class TestSolveCrc1:
         assert answer == solve_brute(inst).answer == placement_scan(inst)[0]
 
 
+def test_crc1_past_63_candidates():
+    # Singletons are asked 63 candidates at a time, each part with the
+    # ballots restricted to it.  District i elects a_i alone and x over
+    # anyone else, so the one valid placement sends a_i to district i.
+    order = [f"a{j:02d}" for j in range(70)]
+    districts = []
+    for j, a in enumerate(order):
+        rest = [c for c in order if c != a]
+        ballot = LinearVote([a, "x"] + rest)
+        districts.append(District(["x"], [ballot, LinearVote(["x", a] + rest), ballot]))
+    inst = RecampaignInstance(TApproval(1), tuple(districts), frozenset(order), AtMost(1))
+    result = checked(inst, solve_crc1(inst))
+    assert result.assignment.placement == {a: j + 1 for j, a in enumerate(order)}
+    assert result.statistics["winning_edges"] == 70
+
+
 class TestSolveTrivialScoring:
     def test_worked_example(self):
         inst = worked_example_instance(budget=16)
@@ -517,6 +533,11 @@ def _random_rule(rng: random.Random, max_size: int):
     )
 
 
+EXPLICIT_SPREAD_60 = ExplicitScoringFamily(
+    [[-3], [4, -4], [9, 0, -9], [20, 10, 0, -20], [30, 5, 5, 0, -30]]
+)
+
+
 class TestDistrictOracle:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
@@ -549,6 +570,7 @@ class TestDistrictOracle:
         rows = np.array(
             list(itertools.product([False, True], repeat=n)), dtype=bool
         ).reshape(2**n, n)
+        masks = np.arange(2**n, dtype=np.int32)  # bit n-1-j of row r is rows[r, j]
         for d in range(inst.k):
             want = []
             for row in rows:
@@ -559,7 +581,43 @@ class TestDistrictOracle:
             for cells in (1, 2**9, solvers._BLOCK_CELLS):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(solvers, "_BLOCK_CELLS", cells)
-                    assert _accepts(inst, d, order, rows).tolist() == want
+                    assert _accepts(inst, d, order, masks).tolist() == want
+
+    @pytest.mark.parametrize(
+        "rule, votes",
+        [
+            (TApproval(1), 254),  # 254·1 + 1 fits one byte
+            (TApproval(1), 255),  # 255·1 + 1 needs two
+            (TApproval(1), 256),
+            (Borda(), 63),  # 63·4 + 1 = 253: one byte
+            (Borda(), 64),  # 64·4 + 1 = 257: two bytes
+            (Borda(), 16383),  # 16,383·4 + 1 = 65,533: two bytes
+            (Borda(), 16384),  # 16,384·4 + 1 = 65,537: four bytes
+            # shifted by each vector's least entry: a spread of 60, 5·60 + 1 = 301
+            (EXPLICIT_SPREAD_60, 5),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [AtMost(2), UNBOUNDED])
+    def test_narrow_tallies_match_winners(self, rule, votes, bound):
+        """One district of two own candidates and three additional, every
+        subset against `winners`, at ballot counts where the tally type
+        widens.  Every ballot ranks a1 first, so a1 scores the most a tally
+        can hold wherever it is placed."""
+        rng = random.Random(votes)
+        own, order = ["d1", "d2"], ["a1", "a2", "a3"]
+        ballots = []
+        for _ in range(votes):
+            rest = own + order[1:]
+            rng.shuffle(rest)
+            ballots.append(LinearVote(["a1"] + rest))
+        inst = RecampaignInstance(rule, (District(own, ballots),), frozenset(order), bound)
+        masks = np.arange(8, dtype=np.int32)
+        want = []
+        for mask in range(8):
+            placed = frozenset(a for j, a in enumerate(order) if mask >> (2 - j) & 1)
+            w = winners(rule, inst.election_with(1, placed))
+            want.append(not placed or (placed <= w and (bound == UNBOUNDED or len(w) <= 2)))
+        assert _accepts(inst, 0, order, masks).tolist() == want
 
 
 class TestSolveBrute:
@@ -784,6 +842,43 @@ def huge_price_instance(price, budget, bound=UNBOUNDED):
     return RecampaignInstance(
         Borda(), (District([]), District([])), frozenset("ab"), bound, Pricing(prices, budget)
     )
+
+
+class TestScoresBeyondInt64:
+    def test_huge_explicit_vectors_are_decided_or_refused(self):
+        """400 unbounded draws whose vectors are topped by 2⁶² and 2⁶² − 1.
+        Shifted by its least entry, each vector of two or more entries
+        spreads over about 2⁶² points: a district of up to three ballots fits
+        a 64-bit tally and is decided as the placement scan decides, while
+        one of four or more may not fit, and then the instance is refused."""
+        decided = refused = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            vectors = []
+            for m in range(1, 7):
+                tail = sorted((rng.randint(0, 3) for _ in range(m - 2)), reverse=True)
+                vectors.append(([2**62, 2**62 - 1] + tail)[:m])
+            rule = ExplicitScoringFamily(vectors)
+            params = RandomInstanceParams(districts=2, additional=3, rule=rule, max_votes=6)
+            inst = random_instance(params, seed)
+            try:
+                result = checked(inst, solve_auto(inst))
+            except PreconditionError:
+                assert max(len(d.votes) for d in inst.districts) >= 4
+                refused += 1
+                continue
+            assert result.answer == placement_scan(inst)[0]
+            decided += 1
+        assert decided >= 100 and refused >= 100
+
+    @pytest.mark.parametrize("rule", [TVeto(2**63), TApproval(2**63), TVeto(2**70)])
+    def test_huge_t_is_clipped_to_the_candidates(self, rule):
+        # t at least the candidate count: every candidate present ties.
+        params = RandomInstanceParams(districts=2, additional=3, rule=rule, max_votes=3)
+        for seed in range(10):
+            for bound in (AtMost(1), AtMost(2), UNBOUNDED):
+                inst = dataclasses.replace(random_instance(params, seed), bound=bound)
+                assert checked(inst, solve_auto(inst)).answer == placement_scan(inst)[0]
 
 
 class TestPricesBeyondInt64:
