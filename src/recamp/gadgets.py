@@ -1,9 +1,10 @@
-"""Hardness gadgets: source problems, brute-force deciders, reductions.
+"""Hardness gadgets: source problems, their deciders, reductions.
 
 Three classical NP-hard source problems (exact cover by 3-sets, 3-dimensional
 matching with occurrence bound 3, monotone one-in-three 3-SAT with every
-variable in exactly three clauses) together with small exhaustive deciders,
-plus generators that translate them into recampaigning instances:
+variable in exactly three clauses) together with deciders that encode each as
+exact cover and share one budgeted search, plus generators that translate
+them into recampaigning instances:
 
 - `x3c_to_e1_priced`        X3C → E1 rule, bound 3, priced, empty districts.
 - `r3dm_to_exactly3`        occurrence-≤3 3DM → occurrence-exactly-3 3DM.
@@ -20,8 +21,6 @@ apostrophes appended until they avoid the additional candidates' names.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -189,24 +188,38 @@ class OneInThreeSatInstance:
 
 
 # ---------------------------------------------------------------------------
-# Deciders (exhaustive, budgeted)
+# Deciders (one exact-cover search, budgeted)
 # ---------------------------------------------------------------------------
+
+
+def _exact_cover(columns: Sequence, rows: Iterable[Iterable], node_budget: int | None) -> bool:
+    """Can some rows cover every column exactly once?
+
+    Depth-first, each node covering the uncovered column with the fewest rows
+    disjoint from those chosen, ties to the first in `columns` (Knuth's
+    Algorithm X).  A node costs 1 plus the rows it scans, against the budget.
+    """
+    budget = _resolve_budget(node_budget)
+    index = {c: j for j, c in enumerate(columns)}
+    masks = [sum(1 << index[c] for c in row) for row in rows]
+    by_column = [[r for r in masks if r >> j & 1] for j in range(len(columns))]
+    work, stack = 0, [0]
+    while stack:
+        covered = stack.pop()
+        free = [hits for j, hits in enumerate(by_column) if not covered >> j & 1]
+        if not free:
+            return True
+        work += 1 + sum(map(len, free))
+        if work > budget:
+            raise ResourceBudgetError(f"the exact-cover search passed the node budget {budget}")
+        best = min(([r for r in hits if not r & covered] for hits in free), key=len)
+        stack.extend(covered | r for r in reversed(best))
+    return False
 
 
 def decide_x3c(inst: X3CInstance, node_budget: int | None = None) -> bool:
     """Is some subcollection of m pairwise-disjoint triples covering U?"""
-    budget = _resolve_budget(node_budget)
-    m = inst.m
-    if m == 0:
-        return True
-    count = math.comb(len(inst.triples), m)
-    if count > budget:
-        raise ResourceBudgetError(f"{count} subcollections exceed the node budget {budget}")
-    for combo in itertools.combinations(inst.triples, m):
-        union = frozenset().union(*combo)
-        if len(union) == 3 * m:
-            return True
-    return False
+    return _exact_cover(sorted(inst.universe), inst.triples, node_budget)
 
 
 def decide_3dm(
@@ -214,33 +227,13 @@ def decide_3dm(
 ) -> bool:
     """Is there a perfect matching: k triples, pairwise disjoint in every
     coordinate?"""
-    budget = _resolve_budget(node_budget)
-    k = inst.k
-    if k == 0:
-        return True
-    count = math.comb(len(inst.triples), k)
-    if count > budget:
-        raise ResourceBudgetError(f"{count} subcollections exceed the node budget {budget}")
-    for combo in itertools.combinations(inst.triples, k):
-        ws = {t[0] for t in combo}
-        xs = {t[1] for t in combo}
-        ys = {t[2] for t in combo}
-        if len(ws) == k and len(xs) == k and len(ys) == k:
-            return True
-    return False
+    return _exact_cover(inst.w_side + inst.x_side + inst.y_side, inst.triples, node_budget)
 
 
 def decide_e3sat(inst: OneInThreeSatInstance, node_budget: int | None = None) -> bool:
     """Is there an assignment with exactly one true literal per clause?"""
-    budget = _resolve_budget(node_budget)
-    n = len(inst.variables)
-    if 2**n > budget:
-        raise ResourceBudgetError(f"2^{n} assignments exceed the node budget {budget}")
-    for bits in itertools.product((False, True), repeat=n):
-        true_set = {v for v, b in zip(inst.variables, bits) if b}
-        if all(len(c & true_set) == 1 for c in inst.clauses):
-            return True
-    return False
+    rows = [[i for i, c in enumerate(inst.clauses) if v in c] for v in inst.variables]
+    return _exact_cover(range(len(inst.clauses)), rows, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ class SolveResult:
       budget limits; 0 when fpt's n > k·ℓ guard answers;
     - `crc1-matching`: the n·k singleton rows asked of the oracle;
     - `b-matching`: the k districts, one capacity each;
-    - `e1-bound3`: the combinations of district capacities tried;
+    - `e1-bound3`: the (1-room, 2-room) take pairs tried, the 3-room take
+      following from |A|;
     - `e2-unbounded`: the placements checked, 1 when |A| ≥ 4.
     """
 
@@ -828,7 +829,8 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     A district elects its slate iff it ends up with exactly 3 candidates, so
     districts with 0/1/2 own candidates absorb exactly 3/2/1 additional
     candidates or none, and larger districts absorb none.  Yes iff |A| is a
-    feasible sum of those capacities.
+    feasible sum of those capacities.  Each pair of 1-room and 2-room takes
+    fixes the 3-room take, so the search is quadratic in k.
     """
     _admit(inst, "e1")
     n = len(inst.additional)
@@ -840,13 +842,13 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     scanned = 0
     for take1 in range(len(hosts[1]) + 1):
         for take2 in range(len(hosts[2]) + 1):
-            for take3 in range(len(hosts[3]) + 1):
-                scanned += 1
-                if take1 + 2 * take2 + 3 * take3 == n:
-                    takes = zip((1, 2, 3), (take1, take2, take3))
-                    slots = [i for room, t in takes for i in hosts[room][:t] for _ in range(room)]
-                    placement = dict(zip(sorted(inst.additional), slots))
-                    return _accept(inst, placement, "e1-bound3", {"nodes": scanned})
+            scanned += 1
+            take3, rest = divmod(n - take1 - 2 * take2, 3)
+            if rest == 0 and 0 <= take3 <= len(hosts[3]):
+                takes = zip((1, 2, 3), (take1, take2, take3))
+                slots = [i for room, t in takes for i in hosts[room][:t] for _ in range(room)]
+                placement = dict(zip(sorted(inst.additional), slots))
+                return _accept(inst, placement, "e1-bound3", {"nodes": scanned})
     return _reject("e1-bound3", {"nodes": scanned})
 
 

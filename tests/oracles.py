@@ -7,17 +7,22 @@ structure the real code exploits, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import defaultdict
 
 from recamp import (
     Assignment,
     CoverSystem,
+    Exactly3ThreeDMInstance,
+    OneInThreeSatInstance,
     R3DMInstance,
     RecampaignInstance,
+    ResourceBudgetError,
     X3CInstance,
     verify,
 )
+from recamp.solvers import _resolve_budget
 
 
 def matching_optimum(edges: list[tuple[int, int, int, int]]) -> tuple[int, int]:
@@ -100,6 +105,61 @@ def exact_cover_scan(system: CoverSystem) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Source problems by enumeration (referees for the exact-cover deciders)
+# ---------------------------------------------------------------------------
+
+
+def enumerate_x3c(inst: X3CInstance, node_budget: int | None = None) -> bool:
+    """Is some subcollection of m pairwise-disjoint triples covering U?"""
+    budget = _resolve_budget(node_budget)
+    m = inst.m
+    if m == 0:
+        return True
+    count = math.comb(len(inst.triples), m)
+    if count > budget:
+        raise ResourceBudgetError(f"{count} subcollections exceed the node budget {budget}")
+    for combo in itertools.combinations(inst.triples, m):
+        union = frozenset().union(*combo)
+        if len(union) == 3 * m:
+            return True
+    return False
+
+
+def enumerate_3dm(
+    inst: R3DMInstance | Exactly3ThreeDMInstance, node_budget: int | None = None
+) -> bool:
+    """Is there a perfect matching: k triples, pairwise disjoint in every
+    coordinate?"""
+    budget = _resolve_budget(node_budget)
+    k = inst.k
+    if k == 0:
+        return True
+    count = math.comb(len(inst.triples), k)
+    if count > budget:
+        raise ResourceBudgetError(f"{count} subcollections exceed the node budget {budget}")
+    for combo in itertools.combinations(inst.triples, k):
+        ws = {t[0] for t in combo}
+        xs = {t[1] for t in combo}
+        ys = {t[2] for t in combo}
+        if len(ws) == k and len(xs) == k and len(ys) == k:
+            return True
+    return False
+
+
+def enumerate_e3sat(inst: OneInThreeSatInstance, node_budget: int | None = None) -> bool:
+    """Is there an assignment with exactly one true literal per clause?"""
+    budget = _resolve_budget(node_budget)
+    n = len(inst.variables)
+    if 2**n > budget:
+        raise ResourceBudgetError(f"2^{n} assignments exceed the node budget {budget}")
+    for bits in itertools.product((False, True), repeat=n):
+        true_set = {v for v, b in zip(inst.variables, bits) if b}
+        if all(len(c & true_set) == 1 for c in inst.clauses):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Seeded random sources
 # ---------------------------------------------------------------------------
 
@@ -150,3 +210,30 @@ def random_r3dm(rng: random.Random, k: int, triples_wanted: int) -> R3DMInstance
         for e in triple:
             occupancy[e] += 1
     return R3DMInstance(w, x, y, chosen)
+
+
+def random_x3c_repeating(rng: random.Random, m: int, max_extra: int) -> X3CInstance:
+    """X3C over 3m elements: a planted cover half the time, then up to
+    `max_extra` triples drawn with replacement, so triples may repeat."""
+    universe = [f"u{i}" for i in range(1, 3 * m + 1)]
+    family: list[tuple[str, ...]] = []
+    if rng.random() < 0.5:
+        order = rng.sample(universe, len(universe))
+        family = [tuple(order[j:j + 3]) for j in range(0, 3 * m, 3)]
+    all_triples = list(itertools.combinations(universe, 3))
+    if all_triples:
+        family += rng.choices(all_triples, k=rng.randint(0, max_extra))
+    rng.shuffle(family)
+    return X3CInstance(universe, family)
+
+
+def random_e3sat(rng: random.Random, n: int) -> OneInThreeSatInstance:
+    """Monotone one-in-three SAT over n variables (0 or at least 3), each in
+    exactly three clauses; clauses may repeat."""
+    variables = [f"x{i}" for i in range(1, n + 1)]
+    slots = variables * 3
+    while True:
+        rng.shuffle(slots)
+        clauses = [slots[j:j + 3] for j in range(0, 3 * n, 3)]
+        if all(len(set(c)) == 3 for c in clauses):
+            return OneInThreeSatInstance(variables, clauses)

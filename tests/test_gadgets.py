@@ -7,11 +7,16 @@ decision equivalence against the brute-force solver on desk-sized inputs.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import recamp
 from recamp import (
     Borda,
     Condorcet,
@@ -47,7 +52,16 @@ from recamp import (
     x3c_to_veto,
 )
 
-from oracles import placement_scan, random_r3dm, random_x3c
+from oracles import (
+    enumerate_3dm,
+    enumerate_e3sat,
+    enumerate_x3c,
+    placement_scan,
+    random_e3sat,
+    random_r3dm,
+    random_x3c,
+    random_x3c_repeating,
+)
 
 W3 = ("w1", "w2", "w3")
 X3 = ("x1", "x2", "x3")
@@ -208,6 +222,48 @@ class TestDeciders:
         inst = X3CInstance(["u1", "u2", "u3"], [("u1", "u2", "u3")] * 2)
         with pytest.raises(ResourceBudgetError):
             decide_x3c(inst, node_budget=1)
+
+    def test_x3c_past_the_enumeration_size(self):
+        """m = 20 with 40 triples has C(40, 20) ≈ 1.4·10¹¹ subcollections, far
+        past the default budget; the search decides both sources within it."""
+        rng = random.Random(20)
+        universe = [f"u{i}" for i in range(1, 61)]
+        order = rng.sample(universe, 60)
+        planted = [order[j:j + 3] for j in range(0, 60, 3)]
+        decoys = [rng.sample(universe, 3) for _ in range(20)]
+        assert decide_x3c(X3CInstance(universe, rng.sample(planted + decoys, 40)))
+        # Every triple meeting {u1, u2, u3} holds two of them, so no disjoint
+        # family covers all three; the other 57 elements have covers.
+        rest = universe[3:]
+        order = rng.sample(rest, 57)
+        odd = [("u1", "u2", "u4"), ("u2", "u3", "u5"), ("u1", "u3", "u6")]
+        family = odd + [order[j:j + 3] for j in range(0, 57, 3)]
+        family += [rng.sample(rest, 3) for _ in range(18)]
+        assert not decide_x3c(X3CInstance(universe, rng.sample(family, 40)))
+
+    def test_budget_refusal_ignores_hash_seed(self):
+        """Columns are taken in sorted order, so the search's work does not
+        follow set iteration order.  Every column has two rows and there is
+        no cover: u1-u3 lie in one triple listed twice, u4-u9 in four triples
+        that pairwise meet.  Branching first on u1 searches u4-u9 twice, 73
+        units of work; branching first on one of u4-u9 costs 45."""
+        script = (
+            "from recamp import ResourceBudgetError, X3CInstance, decide_x3c\n"
+            "src = X3CInstance([f'u{i}' for i in range(1, 10)], [('u1', 'u2', 'u3')] * 2 + [\n"
+            "    ('u4', 'u5', 'u6'), ('u4', 'u7', 'u8'), ('u5', 'u7', 'u9'), ('u6', 'u8', 'u9')])\n"
+            "try:\n"
+            "    decide_x3c(src, 72)\n"
+            "except ResourceBudgetError:\n"
+            "    print(decide_x3c(src, 73))\n"
+        )
+        paths = [str(Path(recamp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(filter(None, paths))
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert out.stdout == "False\n"
 
     def test_3dm_single_triple(self):
         inst = R3DMInstance(["w1"], ["x1"], ["y1"], [("w1", "x1", "y1")])
@@ -644,3 +700,40 @@ def test_e33dm_reductions_agree_with_the_decider(seed):
     expected = decide_3dm(src)
     assert solve_brute(e33dm_to_1approval(src)).answer == expected
     assert solve_brute(e33dm_to_scoring(src, Borda())).answer == expected
+
+
+_REFEREES = {
+    "x3c": (decide_x3c, enumerate_x3c),
+    "r3dm": (decide_3dm, enumerate_3dm),
+    "e33dm": (decide_3dm, enumerate_3dm),
+    "e3sat": (decide_e3sat, enumerate_e3sat),
+}
+
+
+def _random_source(kind, rng):
+    if kind == "x3c":
+        return random_x3c_repeating(rng, rng.randint(0, 3), 5)
+    if kind == "r3dm":
+        k = rng.randint(0, 3)
+        return random_r3dm(rng, k, rng.randint(0, 3 * k))
+    if kind == "e33dm":
+        # At most three padding rounds keep the enumeration to k ≤ 5.
+        k = rng.randint(1, 2)
+        return r3dm_to_exactly3(random_r3dm(rng, k, rng.randint(3 * k - 3, 3 * k - 1)))
+    return random_e3sat(rng, rng.choice([0, 3, 4, 5, 6]))
+
+
+@pytest.mark.parametrize("kind", sorted(_REFEREES))
+@given(seed=st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=150, deadline=None)
+def test_deciders_match_their_enumerations(kind, seed):
+    decide, enumerate_ = _REFEREES[kind]
+    src = _random_source(kind, random.Random(seed))
+    assert decide(src) == enumerate_(src)
+
+
+@pytest.mark.parametrize("kind", sorted(_REFEREES))
+def test_random_sources_reach_both_answers(kind):
+    enumerate_ = _REFEREES[kind][1]
+    answers = {enumerate_(_random_source(kind, random.Random(seed))) for seed in range(40)}
+    assert answers == {True, False}

@@ -945,6 +945,14 @@ class TestSolveE1Bound3:
         assert result.answer
         assert result.answer == solve_brute(inst).answer
 
+    def test_thousands_of_districts_count_in_pairs(self):
+        """1,000 districts each with 0, 1 and 2 own candidates hold at most
+        6,000 arrivals; each (1-room, 2-room) take pair is tried once."""
+        inst = self._inst([i % 3 for i in range(3000)], [f"a{j}" for j in range(6001)])
+        result = checked(inst, solve_e1_bound3(inst))
+        assert not result.answer
+        assert result.statistics["nodes"] <= 1001**2
+
     def test_wrong_variant_rejected(self):
         base = self._inst([0], ["a", "b", "c"])
         with pytest.raises(WrongVariantError):
