@@ -22,7 +22,7 @@ apostrophes appended until they avoid the additional candidates' names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import E1, LinearVote, TApproval, TVeto, check_candidate_id, is_scoring_rule, scoring_vector
 from .errors import (
@@ -252,6 +252,26 @@ def _fresh(base: str, taken: set[str]) -> str:
 def _lex_tail(pool: Iterable[str], listed: Sequence[str]) -> list[str]:
     seen = set(listed)
     return sorted(c for c in pool if c not in seen)
+
+
+# The most ballot entries (names, summed over every ballot) a gadget with a
+# parameter t may build: the t-approval, t-veto and 1-in-3 SAT gadgets grow
+# with t, so a t past this is refused before any name is made.
+_MAX_BALLOT_ENTRIES = 10**7
+
+
+def _check_t(t: int, entries: Callable[[int], int]) -> None:
+    """Refuse a t that is not an int >= 1 (`ShapeError`), or whose
+    instance would hold `entries(t)` ballot entries, past
+    _MAX_BALLOT_ENTRIES (`PreconditionError`)."""
+    if not isinstance(t, int) or t < 1:
+        raise ShapeError(f"t must be an int >= 1, got {t!r}")
+    count = entries(t)
+    if count > _MAX_BALLOT_ENTRIES:
+        raise PreconditionError(
+            f"t = {t} would build {count} ballot entries, "
+            f"past the {_MAX_BALLOT_ENTRIES} a gadget may hold"
+        )
 
 
 def _check_bound_for_slate(bound: WinnerBound) -> None:
@@ -520,10 +540,10 @@ def x3c_to_approval(
     other than the exact triple leaves s or a blocker strictly ahead.
 
     Preconditions: more than one triple, universe size > 3, bound at least
-    3 (or unbounded).
+    3 (or unbounded), and at most _MAX_BALLOT_ENTRIES ballot entries: 7
+    ballots per triple of 7·(t-1) + 1 + |U| names each.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ShapeError(f"t must be an int >= 1, got {t!r}")
+    _check_t(t, lambda t: len(src.triples) * 7 * (7 * (t - 1) + 1 + len(src.universe)))
     _check_bound_for_slate(bound)
     if src.m <= 1 or len(src.triples) <= 1:
         raise PreconditionError(
@@ -562,10 +582,10 @@ def x3c_to_veto(src: X3CInstance, t: int, bound: WinnerBound) -> RecampaignInsta
     three times, everyone else never.
 
     Preconditions: more than one triple, universe size > 3, bound at least
-    3 (or unbounded).
+    3 (or unbounded), and at most _MAX_BALLOT_ENTRIES ballot entries: 5
+    ballots per triple of t + |U| names each.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ShapeError(f"t must be an int >= 1, got {t!r}")
+    _check_t(t, lambda t: len(src.triples) * 5 * (t + len(src.universe)))
     _check_bound_for_slate(bound)
     if src.m <= 1 or len(src.triples) <= 1:
         raise PreconditionError(
@@ -607,12 +627,13 @@ def sat_to_approval_unbounded(
     district 2 absorbs the other two.  For t > 1 every base symbol is
     replaced by t ordered copies, preserving scores t-fold.
 
-    Preconditions: more than 3 clauses and at least 2 variables.
+    Preconditions: more than 3 clauses, at least 2 variables, and at most
+    _MAX_BALLOT_ENTRIES ballot entries: 4 ballots per clause in district 1
+    and 5 in district 2, of t·(clauses + variables) names each.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ShapeError(f"t must be an int >= 1, got {t!r}")
     m = len(src.clauses)
     n = len(src.variables)
+    _check_t(t, lambda t: 9 * m * t * (m + n))
     if m <= 3 or n <= 1:
         raise PreconditionError("needs more than 3 clauses and at least 2 variables")
 

@@ -147,6 +147,8 @@ class RecampaignInstance:
                     f"district {i} already contains additional candidates "
                     f"{sorted(overlap)}"
                 )
+            if not d.votes:  # no pool to check: building one is O(|A|)
+                continue
             pool = d.candidates | self.additional
             for v in d.votes:
                 if isinstance(v, LinearVote):

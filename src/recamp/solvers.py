@@ -11,7 +11,8 @@ Entry points (all return a `SolveResult`):
                           for the rest; its witness is read back from the
                           DP's forward layers.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
-- `solve_e2_unbounded`    the E2 rule unbounded: at most k³ checks.
+- `solve_e2_unbounded`    the E2 rule unbounded: one witness from |A| = 4 on,
+                          below it the subset DP, linear in k.
 - `solve_auto`            the first route of `ROUTES` whose test holds.
 
 `ROUTES`, the table at the end of the module, states once which variant each
@@ -20,19 +21,25 @@ instance with `WrongVariantError`, and the CLI's `--algorithm` comes from it.
 
 crc1 (singletons) and the DP (the sets of at most ℓ candidates, or every
 set unbounded, for districts 1..k-1, the complements of the sets they can
-take for district k) ask one batched question, `_accepts`: which sets
-S ⊆ A, given as bit masks, does district i accept, electing all of S within
-the bound?  Its scoring kernel ranks in narrow lanes and tallies in the
-narrowest unsigned type that holds the district's ballots times the largest
-point; explicit vectors are shifted by their least entry first, and a
-district whose tally would not fit 64 bits is refused.  `verify`
-stays on the object path as the independent referee for every YES, and
-every reported cost is the one `verify` computes, in Python ints.  Prices
-enter int64 clipped to budget + 1, since a price above the budget is never
-paid.  The DP holds the node budget for `solve_brute` and `solve_fpt`
-alike: it refuses up front when the oracle rows its tables can ask exceed
-the budget, and stops once its work, the oracle rows asked plus the
-disjoint pairs tried, exceeds it; that work is their `nodes`.
+take for district k) ask one batched question, `_Oracle.accepts`: which
+sets S ⊆ A, given as bit masks, does district i accept, electing all of S
+within the bound?  One `_Oracle` serves a solve: it compiles a district's
+ballots (`perms`, `pos`) the first time the district is asked and keeps
+them.  A `_Batch` of masks is read by every district asked about it, and
+keeps, per own-candidate count, the set sizes and the presence rows, as
+bools and in the kernel's lanes: the DP's lone chunk is one batch for every
+table, crc1's singletons one for every district.  The scoring kernel ranks
+in narrow lanes and tallies in the narrowest unsigned type that holds the
+district's ballots times the largest point; explicit vectors are shifted by
+their least entry first, and a district whose tally would not fit 64 bits
+is refused.  `verify` stays on the object path as the independent referee
+for every YES, and every reported cost is the one `verify` computes, in
+Python ints.  Prices enter int64 clipped to budget + 1, since a price above
+the budget is never paid.  The DP holds the node budget for `solve_brute`,
+`solve_fpt` and `solve_e2_unbounded` alike: it refuses up front when the
+oracle rows its tables can ask exceed the budget, and stops once its work,
+the oracle rows asked plus the disjoint pairs tried, exceeds it; that work
+is their `nodes`.
 """
 
 from __future__ import annotations
@@ -131,7 +138,8 @@ class SolveResult:
     - `b-matching`: the k districts, one capacity each;
     - `e1-bound3`: the (1-room, 2-room) take pairs tried, the 3-room take
       following from |A|;
-    - `e2-unbounded`: the placements checked, 1 when |A| ≥ 4.
+    - `e2-unbounded`: the DP's work as for `brute` when |A| ≤ 3 (with
+      `members` as there), 1 when |A| ≥ 4.
     """
 
     answer: bool
@@ -235,18 +243,22 @@ def _explicit_points(rule: ExplicitScoringFamily, size: np.ndarray) -> list[list
 
 
 def _scoring_winners(
-    rule, perms: np.ndarray, pos: np.ndarray, present: np.ndarray, size: np.ndarray
+    rule, perms: np.ndarray, pos: np.ndarray, ones: np.ndarray, size: np.ndarray
 ) -> np.ndarray:
     """winner[c, r]: c wins the scoring election on the candidates present
     in column r (a column with none present is the empty set, whose winners
     do not matter).
 
-    `present` is candidates-major, one column per placed set.  A block of
-    ballots, at most _BLOCK_CELLS cells and at least one ballot, is ranked
-    at once, positions-major: each ballot takes the rows of `present` in its
-    order, and adding each position's row into the next gives every
-    candidate its rank in every set (one strided accumulate does the same
-    faster when a position holds fewer than _ADD_WORDS words).  The ranks
+    `ones` is the presence rows as `_Batch.lanes` gives them: candidates-
+    major, one column per placed set, in the narrowest unsigned type that
+    holds a rank, padded with absent columns to whole 64-bit words, and
+    `size` the sets' sizes padded alike; the winners of the pad columns are
+    garbage.  A block of ballots, at most _BLOCK_CELLS cells and at least
+    one ballot, is ranked at once, positions-major: each ballot takes the
+    rows of `ones` in its order, and adding each position's row into the
+    next gives every candidate its rank in every set (one strided
+    accumulate does the same faster when a position holds fewer than
+    _ADD_WORDS words).  The ranks
     are narrow unsigned integers that never exceed the candidate count, so
     the adds take them as lanes of 64-bit words, several sets per add, with
     no carry crossing from one lane into the next.  They are gathered back
@@ -255,9 +267,9 @@ def _scoring_winners(
     that holds the ballot count times the largest point, plus one: explicit
     vectors are shifted by their least entry first, and a tally past 64 bits
     is refused.  An absent candidate's rank and points are garbage;
-    `scores + 1` times `present` masks them to 0, below every present
+    `scores + 1` times `ones` masks them to 0, below every present
     candidate's."""
-    width, rows = present.shape
+    width = len(ones)
     votes = len(perms)
     if isinstance(rule, ExplicitScoringFamily):
         alpha = _explicit_points(rule, size)
@@ -265,18 +277,13 @@ def _scoring_winners(
     else:
         top = width - 1 if isinstance(rule, Borda) else 1
     if not votes:  # every candidate present ties at 0 points
-        return present.copy()
+        return ones != 0
     if votes * top + 1 > _UINT64_MAX:
         raise PreconditionError(
             f"{votes} ballots times a point spread of {top} do not fit a 64-bit tally"
         )
     tally = np.min_scalar_type(votes * top + 1)
-    rank = np.min_scalar_type(width)
-    ones = present.astype(rank)
-    pad = -rows % (8 // rank.itemsize)
-    if pad:
-        ones = np.concatenate((ones, np.zeros((width, pad), dtype=rank)), axis=1)
-        size = np.concatenate((size, np.zeros(pad, dtype=size.dtype)))
+    rank = ones.dtype
     if isinstance(rule, (TApproval, TVeto)):
         t = min(rule.t, width)  # in Python ints, so no t overflows
     if isinstance(rule, ExplicitScoringFamily):
@@ -309,7 +316,7 @@ def _scoring_winners(
         scores += points.sum(axis=0, dtype=tally)
     scores += 1
     scores *= ones
-    return (scores == scores.max(axis=0, initial=0))[:, :rows]
+    return scores == scores.max(axis=0, initial=0)
 
 
 def _condorcet_winners(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -331,52 +338,106 @@ def _condorcet_winners(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
     return present & (unbeaten == 0)
 
 
-def _accepts(
-    inst: RecampaignInstance, d: int, order: list[str], masks: np.ndarray
-) -> np.ndarray:
-    """verdict[r]: district d (0-based) accepts exactly the set masks[r].
+class _Batch:
+    """One batch of masks as the oracle reads them, shared by every district
+    asked about it: their popcounts, and per own-candidate count the set
+    sizes and the presence rows, each built on first use.
 
-    Bit n-1-j of a mask stands for order[j], as in the DP; an object array
-    of Python ints holds a set of more than 63.  A row is accepted when
-    every candidate it places wins district d with exactly those candidates
-    added and, under a bound ℓ, the district has at most ℓ winners.  The
-    empty row is always accepted: untouched districts carry no condition.
-    """
-    rule = inst.rule
-    district = inst.districts[d]
-    own = sorted(district.candidates)
-    bound = _bound(inst)
-    pop = np.bitwise_count(masks)
-    size = pop.astype(np.intp) + len(own)
-    if isinstance(rule, TrivialScoring):
-        placed_win = np.ones(len(masks), dtype=bool)
-        win_count = size
-    elif isinstance(rule, E1):
-        placed_win = size == 3
-        win_count = np.where(placed_win, 3, 0)
-    else:
-        index = {c: j for j, c in enumerate(own + order)}
-        present = np.ones((len(index), len(masks)), dtype=bool)
-        bits = np.left_shift(1, np.arange(len(order) - 1, -1, -1, dtype=masks.dtype))
-        np.not_equal(masks & bits[:, None], 0, out=present[len(own) :])
-        perms, pos = _ballots(district.votes, index)
-        if isinstance(rule, Condorcet):
-            winner = _condorcet_winners(pos, present)
-        elif isinstance(rule, E2):
-            winner = _scoring_winners(TApproval(1), perms, pos, present, size)
-            winner[:, size >= 4] = present[:, size >= 4]
+    Bit n-1-j of a mask stands for order[j]; an object array of Python ints
+    holds a set of more than 63.  present[c, r] says candidate c is in the
+    set of column r: a district's own candidates first, always present, then
+    order[j]."""
+
+    def __init__(self, masks: np.ndarray, n: int) -> None:
+        self.masks, self.n = masks, n
+        self.pop = np.bitwise_count(masks)
+        self.empty = self.pop == 0
+        self._size: dict[int, np.ndarray] = {}
+        self._present: dict[int, np.ndarray] = {}
+        self._lanes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def size(self, own: int) -> np.ndarray:
+        """The size of each set with `own` candidates added."""
+        if own not in self._size:
+            self._size[own] = self.pop.astype(np.intp) + own
+        return self._size[own]
+
+    def present(self, own: int) -> np.ndarray:
+        """The presence rows of a district of `own` candidates."""
+        if own not in self._present:
+            present = np.ones((own + self.n, len(self.masks)), dtype=bool)
+            bits = np.left_shift(1, np.arange(self.n - 1, -1, -1, dtype=self.masks.dtype))
+            np.not_equal(self.masks & bits[:, None], 0, out=present[own:])
+            self._present[own] = present
+        return self._present[own]
+
+    def lanes(self, own: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ones, size) as the scoring kernel ranks them: the presence rows
+        in the narrowest unsigned type that holds a rank, with absent
+        columns padded on to whole 64-bit words, and the sizes padded alike."""
+        if own not in self._lanes:
+            present, size = self.present(own), self.size(own)
+            rank = np.min_scalar_type(len(present))
+            pad = -len(self.masks) % (8 // rank.itemsize)
+            ones = np.zeros((len(present), len(self.masks) + pad), dtype=rank)
+            ones[:, : len(self.masks)] = present
+            self._lanes[own] = ones, np.concatenate((size, np.zeros(pad, dtype=size.dtype)))
+        return self._lanes[own]
+
+
+class _Oracle:
+    """The district oracle of one solve over the additional candidates
+    `order`: which sets of a `_Batch` district d (0-based) accepts.  A
+    district's ballots are compiled (`_ballots`, over its own candidates
+    then `order`) the first time it is asked, and kept for the solve."""
+
+    def __init__(self, inst: RecampaignInstance, order: list[str]) -> None:
+        self.inst, self.order, self.bound = inst, order, _bound(inst)
+        self._ballots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def ballots(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        if d not in self._ballots:
+            district = self.inst.districts[d]
+            index = {c: j for j, c in enumerate(sorted(district.candidates) + self.order)}
+            self._ballots[d] = _ballots(district.votes, index)
+        return self._ballots[d]
+
+    def accepts(self, d: int, batch: _Batch) -> np.ndarray:
+        """verdict[r]: district d accepts exactly the set batch.masks[r].
+
+        A row is accepted when every candidate it places wins district d
+        with exactly those candidates added and, under a bound ℓ, the
+        district has at most ℓ winners.  The empty row is always accepted:
+        untouched districts carry no condition."""
+        rule, bound = self.inst.rule, self.bound
+        own = len(self.inst.districts[d].candidates)
+        pop, size = batch.pop, batch.size(own)
+        if isinstance(rule, TrivialScoring):
+            placed_win = np.ones(len(pop), dtype=bool)
+            win_count = size
+        elif isinstance(rule, E1):
+            placed_win = size == 3
+            win_count = np.where(placed_win, 3, 0)
         else:
-            winner = _scoring_winners(rule, perms, pos, present, size)
-        # No absent candidate wins a column with one present, and a column
-        # with none is the empty set, accepted below.
-        placed = winner[len(own) :].sum(axis=0, dtype=np.min_scalar_type(len(order)))
-        placed_win = placed == pop
+            present = batch.present(own)
+            perms, pos = self.ballots(d)
+            if isinstance(rule, Condorcet):
+                winner = _condorcet_winners(pos, present)
+            else:
+                kernel = TApproval(1) if isinstance(rule, E2) else rule
+                winner = _scoring_winners(kernel, perms, pos, *batch.lanes(own))[:, : len(pop)]
+                if isinstance(rule, E2):
+                    winner[:, size >= 4] = present[:, size >= 4]
+            # No absent candidate wins a column with one present, and a
+            # column with none is the empty set, accepted below.
+            placed = winner[own:].sum(axis=0, dtype=np.min_scalar_type(batch.n))
+            placed_win = placed == pop
+            if bound is not None:
+                win_count = winner.sum(axis=0, dtype=np.min_scalar_type(len(present)))
+        verdict = placed_win
         if bound is not None:
-            win_count = winner.sum(axis=0, dtype=np.min_scalar_type(len(index)))
-    verdict = placed_win
-    if bound is not None:
-        verdict = verdict & (win_count <= bound)
-    return verdict | (pop == 0)
+            verdict = verdict & (win_count <= bound)
+        return verdict | batch.empty
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +452,19 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     there on its own; with bound 1 no district can absorb two additional
     candidates, so feasibility is exactly a perfect matching of A, and the
     budget check is the matching weight.  The oracle is asked about the
-    singletons 63 candidates (the bits of an int64 mask) at a time.
+    singletons 63 candidates (the bits of an int64 mask) at a time, every
+    district reading one batch of them.
     """
     _admit(inst, "crc1")
     order = sorted(inst.additional)
     alone = np.zeros((inst.k, len(order)), dtype=bool)
     for start in range(0, len(order), 63):
         part = order[start : start + 63]
+        oracle = _Oracle(inst, part)
         singletons = np.left_shift(1, np.arange(len(part) - 1, -1, -1, dtype=np.int64))
+        batch = _Batch(singletons, len(part))
         for d in range(inst.k):
-            alone[d, start : start + len(part)] = _accepts(inst, d, part, singletons)
+            alone[d, start : start + len(part)] = oracle.accepts(d, batch)
     alone = alone.tolist()
     edges = [
         (j, i, inst.pricing.price(i + 1, a) if inst.pricing else 0, 1)
@@ -469,36 +533,41 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
 
 _CHUNK_ROWS = 1 << 14
 
+# Up to this many bits, filtering all 2^n masks by popcount enumerates the
+# masks of at most `level` bits faster than growing them bit by bit (the two
+# crossed between 15 and 16 bits on a 2-core x86 machine).
+_FILTER_BITS = 15
+
 
 def _masks(n: int, level: int, word: np.dtype):
     """The masks of n bits with at most `level` of them set, in increasing
-    order, a _CHUNK_ROWS chunk at a time.  Below n they are grown bit by
-    bit, each bit appended after the masks without it, which it exceeds."""
+    order, a _CHUNK_ROWS chunk at a time.  Below n they are filtered from
+    all 2^n masks by popcount up to _FILTER_BITS bits, and past it grown bit
+    by bit, each bit appended after the masks without it, which it exceeds."""
     if level >= n:
         for start in range(0, 1 << n, _CHUNK_ROWS):
             yield np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=word)
         return
-    masks = np.zeros(1, dtype=word)
-    for b in range(n):
-        grow = masks[np.bitwise_count(masks) < level]
-        masks = np.concatenate((masks, grow | word.type(1 << b)))
+    if n <= _FILTER_BITS:
+        masks = np.arange(1 << n, dtype=word)
+        masks = masks[np.bitwise_count(masks) <= level]
+    else:
+        masks = np.zeros(1, dtype=word)
+        for b in range(n):
+            grow = masks[np.bitwise_count(masks) < level]
+            masks = np.concatenate((masks, grow | word.type(1 << b)))
     for start in range(0, len(masks), _CHUNK_ROWS):
         yield masks[start : start + _CHUNK_ROWS]
 
 
-def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
-    """placed[r, j]: order[j] is in the set masks[r] (bit n-1-j stands for order[j])."""
-    return (masks[:, None] & (1 << np.arange(n - 1, -1, -1, dtype=masks.dtype))) != 0
-
-
 def _least(masks: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each mask once, in increasing order, at its least cost."""
-    by = np.argsort(masks)
+    """Each mask once, in increasing order, at its least cost: sorted by
+    mask then cost, the first of each run of one mask."""
+    by = np.lexsort((costs, masks))
     masks, costs = masks[by], costs[by]
     first = np.ones(len(masks), dtype=bool)
-    first[1:] = masks[1:] != masks[:-1]
-    starts = first.nonzero()[0]
-    return masks[starts], np.minimum.reduceat(costs, starts)
+    np.not_equal(masks[1:], masks[:-1], out=first[1:])
+    return masks[first], costs[first]
 
 
 class _PlacementDP:
@@ -513,10 +582,16 @@ class _PlacementDP:
     c when it first needs it, and keeps only the sets of at least
     n - (k-c)·level candidates, as the k-c districts left take at most
     level each.  The masks of the tables come a _CHUNK_ROWS chunk at a
-    time and go to the oracle as they are; a chunk carries its rows, to be
-    priced, only when some price is nonzero (`priced`), and a lone chunk is
-    kept as `lone`.  The last district has no table: it is asked only about
-    the complements of the sets of `fwd[k-1]`.  `limit` is the node budget: the DP is refused up
+    time as a `_Batch`, priced on its presence rows only when some price is
+    nonzero (`priced`).  A lone chunk is kept as `lone`, so every table
+    reads the same masks, popcounts, sizes and presence rows, built once
+    per own-candidate count (a price filter that drops a mask gives that
+    table a batch of its own).
+    `oracle` compiles each district's ballots once per solve.  A forward
+    step whose pairs fit one block tries them in one numpy pass and keeps
+    the least price of each union by one sort.  The last district has no
+    table: it is asked only about the complements of the sets of
+    `fwd[k-1]`.  `limit` is the node budget: the DP is refused up
     front when its tables' (k-1)·Σ_{s≤level} C(n, s) rows exceed it (below
     n, `_masks` holds a table's masks at once, so this guards memory too),
     and stops once `work`, the oracle rows asked plus the disjoint pairs
@@ -549,7 +624,8 @@ class _PlacementDP:
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64 if self.n <= 63 else object)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
-        self.lone: tuple[np.ndarray, np.ndarray | None] | None = None
+        self.oracle = _Oracle(inst, order)
+        self.lone: _Batch | None = None
         self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
@@ -559,32 +635,35 @@ class _PlacementDP:
             raise ResourceBudgetError(f"the DP's work passed the node budget {self.limit}")
 
     def _chunks(self):
-        """Each chunk of masks with its rows, or None unpriced, where no
-        price is asked.  A lone chunk is enumerated once and kept for every
-        table; more chunks are enumerated again for each table, so memory
-        stays bounded."""
+        """Each chunk of masks as an oracle `_Batch`.  A lone chunk is
+        enumerated once and kept for every table, with the presence rows
+        its batch builds, once per own-candidate count; more chunks are
+        enumerated again for each table, so memory stays bounded."""
         if self.lone is not None:
             yield self.lone
             return
         for i, span in enumerate(_masks(self.n, self.level, self.word)):
-            chunk = span, _mask_rows(span, self.n) if self.priced else None
+            batch = _Batch(span, self.n)
             if i == 0 and len(span) < _CHUNK_ROWS:  # the only chunk
-                self.lone = chunk
-            yield chunk
+                self.lone = batch
+            yield batch
 
     def _table(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The sets district d (0-based) accepts within the budget, with
         their prices; the oracle is asked a chunk of masks at a time."""
         masks, costs = [], []
-        for span, placed in self._chunks():
-            if placed is None:  # unpriced: every set is within the budget
+        for batch in self._chunks():
+            span = batch.masks
+            if not self.priced:  # every set is within the budget
                 cost = np.zeros(len(span), dtype=self.price)
-            else:
-                cost = placed @ self.prices[:, d]
+            else:  # priced on the rows of the additional candidates present
+                cost = self.prices[:, d] @ batch.present(0)
                 ok = cost <= self.cap
-                span, cost = span[ok], cost[ok].astype(self.price)
+                if not ok.all():
+                    span, cost, batch = span[ok], cost[ok], _Batch(span[ok], self.n)
+                cost = cost.astype(self.price)
             self._spend(len(span))
-            ok = _accepts(self.inst, d, self.order, span)
+            ok = self.oracle.accepts(d, batch)
             masks.append(span[ok])
             costs.append(cost[ok])
         return np.concatenate(masks), np.concatenate(costs)
@@ -615,18 +694,33 @@ class _PlacementDP:
             self.fwd.append((sets[keep], set_cost[keep]))
             return
         left, left_cost = self.fwd[c - 1]
+        fits = sets[: sets.searchsorted(self.full - left[0], "right")]
+        if len(left) * len(fits) <= _CHUNK_ROWS:  # one block tries every pair
+            self._spend(len(left) * len(fits))
+            i, j = ((left[:, None] & fits) == 0).nonzero()
+            self.fwd.append(_least(*self._join(left, left_cost, i, sets, set_cost, j, floor)))
+            return
         masks, costs, held = [left[:0]], [left_cost[:0]], 0
         for i, j in self._pairs(left, sets):
-            union, price = left[i] | sets[j], left_cost[i] + set_cost[j]
-            keep = (price <= self.cap) & (np.bitwise_count(union) >= floor)
-            masks.append(union[keep])
-            costs.append(price[keep])
-            held += len(masks[-1])
+            union, price = self._join(left, left_cost, i, sets, set_cost, j, floor)
+            masks.append(union)
+            costs.append(price)
+            held += len(union)
             if held > 4 * max(_CHUNK_ROWS, len(masks[0])):
                 # merge at 4x the merged sets: memory stays bounded, sorting linear
                 merged = _least(np.concatenate(masks), np.concatenate(costs))
                 masks, costs, held = [merged[0]], [merged[1]], 0
         self.fwd.append(_least(np.concatenate(masks), np.concatenate(costs)))
+
+    def _join(self, left, left_cost, i, right, right_cost, j, floor):
+        """The unions of the disjoint pairs (left[i], right[j]) at the sum
+        of their prices, kept when within the budget and of at least
+        `floor` candidates."""
+        union, price = left[i] | right[j], left_cost[i] + right_cost[j]
+        keep = np.bitwise_count(union) >= floor
+        if self.priced:
+            keep &= price <= self.cap
+        return union[keep], price[keep]
 
     def _last_takes(self) -> tuple[int, int] | None:
         """The first set of `fwd[k-1]` whose complement the last district
@@ -635,14 +729,14 @@ class _PlacementDP:
         for start in range(0, len(reach), _CHUNK_ROWS):
             rest = self.full ^ reach[start : start + _CHUNK_ROWS]
             if self.priced:
-                placed = _mask_rows(rest, self.n)
+                placed = _Batch(rest, self.n).present(0)
                 # clipped into the price type: a mixed sum would go through float64
-                togo = np.minimum(placed @ self.prices[:, -1], self.cap + 1).astype(self.price)
+                togo = np.minimum(self.prices[:, -1] @ placed, self.cap + 1).astype(self.price)
                 ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
             else:  # every price 0: each complement is within the budget
                 togo, ok = np.zeros(len(rest), dtype=self.price), np.arange(len(rest))
             self._spend(len(ok))
-            ok = ok[_accepts(self.inst, self.k - 1, self.order, rest[ok])]
+            ok = ok[self.oracle.accepts(self.k - 1, _Batch(rest[ok], self.n))]
             if len(ok):
                 return int(reach[start + ok[0]]), self.cap - int(togo[ok[0]])
         return None
@@ -661,7 +755,7 @@ class _PlacementDP:
             self._spend(1)
             fits = self.level == self.n and self.prices[:, 0].sum() <= self.cap
             everyone = np.array([self.full], dtype=self.word)
-            if fits and _accepts(self.inst, 0, self.order, everyone)[0]:
+            if fits and self.oracle.accepts(0, _Batch(everyone, self.n))[0]:
                 return [1] * self.n
             return None
         e = 0
@@ -852,24 +946,22 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     return _reject("e1-bound3", {"nodes": scanned})
 
 
-def solve_e2_unbounded(inst: RecampaignInstance) -> SolveResult:
+def solve_e2_unbounded(
+    inst: RecampaignInstance, node_budget: int | None = None
+) -> SolveResult:
     """E2 unbounded, unpriced: constant-size case analysis.
 
     With |A| ≥ 4 dumping everybody into district 1 always works (E2 elects
-    the whole slate at ≥ 4 candidates); otherwise at most k³ placements
-    exist and are all checked.
+    the whole slate at ≥ 4 candidates).  Otherwise the subset DP decides
+    under the node budget: its tables hold at most 2³ sets each, so its
+    work is linear in k.
     """
     _admit(inst, "e2")
+    budget = _resolve_budget(node_budget)
     order = sorted(inst.additional)
     if len(order) >= 4:
         return _accept(inst, {a: 1 for a in order}, "e2-unbounded", {"nodes": 1})
-    nodes = 0
-    for digs in itertools.product(range(1, inst.k + 1), repeat=len(order)):
-        nodes += 1
-        asg = Assignment({a: i for a, i in zip(order, digs)})
-        if verify(inst, asg).valid:
-            return SolveResult(True, asg, "e2-unbounded", {"nodes": nodes}, None)
-    return _reject("e2-unbounded", {"nodes": nodes})
+    return _solve_by_dp(inst, budget, "e2-unbounded")
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +991,7 @@ def _unpriced(rule: type, bound: int | None) -> Callable[[RecampaignInstance], b
 # Keyed by `recamp solve --algorithm` value, in the order `solve_auto` tries them.
 ROUTES: dict[str, Route] = {
     "e1": Route(solve_e1_bound3, "unpriced E1 at bound 3", _unpriced(E1, 3)),
-    "e2": Route(solve_e2_unbounded, "unpriced unbounded E2", _unpriced(E2, None)),
+    "e2": Route(solve_e2_unbounded, "unpriced unbounded E2", _unpriced(E2, None), True),
     "bmatch": Route(
         solve_trivial_scoring,
         "the trivial scoring rule",

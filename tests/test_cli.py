@@ -27,7 +27,7 @@ from recamp import (
     x3c_to_e1_priced,
     x3c_to_veto,
 )
-from recamp import cli
+from recamp import cli, gadgets
 from recamp.cli import main
 from recamp.formats import (
     parse_3dm,
@@ -371,6 +371,23 @@ class TestReduce:
         assert code == 0
         inst = parse_instance(out_path.read_text())
         assert inst.bound == AtMost(3)
+
+    def test_oversize_t_exits_2(self, run, tmp_path, monkeypatch):
+        # t - 1 blocker names per group would not fit in memory: refused
+        # before any is made (a name made would fail the run at once).
+        def fresh(*args):
+            raise AssertionError("a name was made for a refused t")
+
+        monkeypatch.setattr(gadgets, "_fresh", fresh)
+        src_path = tmp_path / "x3c.json"
+        src_path.write_text(render_x3c(X3C_NO))
+        for target in ("approvalL", "vetoL"):
+            code, _ = run(
+                "reduce", src_path, "--from", "x3c", "--to", target, "--t", 10**20,
+                "-o", tmp_path / "out.json",
+            )
+            assert code == 2
+        assert not (tmp_path / "out.json").exists()
 
     def test_deterministic_output(self, run, tmp_path):
         src_path = tmp_path / "x3c.json"

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recamp
+from recamp import gadgets
 from recamp import (
     Borda,
     Condorcet,
@@ -632,6 +633,36 @@ class TestSatToApproval:
         assert not solve_brute(sat_to_approval_unbounded(SAT_NO4, t)).answer
         result = solve_brute(sat_to_approval_unbounded(SAT_YES6, t))
         assert result.answer == decide_e3sat(SAT_YES6) == True  # noqa: E712
+
+
+# The three gadgets that grow with t, as functions of t.
+T_GADGETS = [
+    lambda t: x3c_to_approval(X3C_YES, t, AtMost(3)),
+    lambda t: x3c_to_veto(X3C_YES, t, UNBOUNDED),
+    lambda t: sat_to_approval_unbounded(SAT_YES6, t),
+]
+
+
+class TestOversizeT:
+    @pytest.mark.parametrize("build", T_GADGETS)
+    def test_refused_before_any_name_is_made(self, build, monkeypatch):
+        def fresh(*args):
+            raise AssertionError("a name was made for a refused t")
+
+        monkeypatch.setattr(gadgets, "_fresh", fresh)
+        with pytest.raises(PreconditionError, match="ballot entries"):
+            build(10**20)
+
+    @pytest.mark.parametrize("build", T_GADGETS)
+    def test_the_count_is_exact(self, build, monkeypatch):
+        # At t = 2 each gadget is admitted at exactly its ballot entries
+        # and refused one below.
+        entries = sum(len(v.order) for d in build(2).districts for v in d.votes)
+        monkeypatch.setattr(gadgets, "_MAX_BALLOT_ENTRIES", entries)
+        build(2)
+        monkeypatch.setattr(gadgets, "_MAX_BALLOT_ENTRIES", entries - 1)
+        with pytest.raises(PreconditionError, match=f"{entries} ballot entries"):
+            build(2)
 
 
 def _as_s1(src: OneInThreeSatInstance) -> OneInThreeSatInstance:

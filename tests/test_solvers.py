@@ -4,8 +4,12 @@ dispatcher."""
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,9 +59,10 @@ from recamp import (
     verify,
     winners,
     x3c_to_approval,
+    x3c_to_veto,
 )
 from recamp import formats, solvers
-from recamp.solvers import ROUTES, _accepts
+from recamp.solvers import ROUTES, _Batch, _Oracle
 
 from oracles import exact_cover_scan, placement_scan
 
@@ -380,21 +385,33 @@ class TestSolveFpt:
         src = X3CInstance(universe, cover + [["u1", "u4", "u7"], ["u2", "u8", "u13"]])
         return src, x3c_to_approval(src, 2, AtMost(3))
 
-    @pytest.mark.parametrize("planted", [True, False])
-    def test_decides_the_x3c_gadget_past_the_placement_budget(self, planted):
+    @pytest.mark.parametrize(
+        "planted, nodes, unbounded_nodes",
+        [
+            pytest.param(True, 2928, 163900, id="True"),
+            pytest.param(False, 3524, 196742, id="False"),
+        ],
+    )
+    def test_decides_the_x3c_gadget_past_the_placement_budget(
+        self, planted, nodes, unbounded_nodes
+    ):
         # k^n is far past the node budget, but the DP's tables have at most
         # 6·Σ_{s≤3} C(15, s) = 3,456 rows bounded and 6·2^15 = 196,608
-        # unbounded, and brute decides both, bounded with fpt's answer.
+        # unbounded, and brute decides both, bounded with fpt's answer.  The
+        # work is pinned: sharing the oracle's inputs across tables and the
+        # one-block forward step change no row asked and no pair tried.
         src, inst = self._x3c_gadget(planted)
         assert (inst.k, len(inst.additional)) == (7, 15)
         result = checked(inst, solve_fpt(inst))
         assert result.answer == decide_x3c(src) == planted
+        assert result.statistics["nodes"] == nodes
         brute = checked(inst, solve_brute(inst))
         same = (result.assignment, result.cost, result.statistics["nodes"])
         assert (brute.assignment, brute.cost, brute.statistics["nodes"]) == same
         unbounded = dataclasses.replace(inst, bound=UNBOUNDED)
         result = checked(unbounded, solve_auto(unbounded))
         assert (result.algorithm, result.answer) == ("brute", planted)
+        assert result.statistics["nodes"] == unbounded_nodes
 
     @pytest.mark.parametrize("planted", [True, False])
     @pytest.mark.parametrize("chunk", [64, 1 << 14])
@@ -414,6 +431,21 @@ class TestSolveFpt:
         assert result.answer == decide_x3c(src) == planted
         assert len(dp.sets) >= 5
         assert enumerated == (1 if chunk > 576 else len(dp.sets))
+
+    def test_forward_steps_try_only_the_pairs_under_full_minus_the_least_set(self):
+        # A cover-free X3C gadget under 1-veto, k = 6 and n = 12.  Past layer
+        # 2 no layer holds the empty set, and a set disjoint from the least
+        # one L is at most full - L: 1,513 units of work, where trying
+        # every pair of a one-block step would count 1,515.
+        triples = [
+            ("u01", "u04", "u07"), ("u01", "u05", "u12"), ("u01", "u03", "u05"),
+            ("u03", "u08", "u10"), ("u01", "u02", "u05"), ("u03", "u10", "u11"),
+        ]
+        src = X3CInstance([f"u{i:02d}" for i in range(1, 13)], triples)
+        inst = x3c_to_veto(src, 1, AtMost(3))
+        result = checked(inst, solve_fpt(inst))
+        assert result.answer is decide_x3c(src) is False
+        assert result.statistics["nodes"] == 1513
 
     def test_probes_explicit_vectors_up_to_the_bound(self):
         # Vectors for 1 and 2 candidates only.  Under bound 2 no empty
@@ -581,7 +613,7 @@ class TestDistrictOracle:
             for cells in (1, 2**9, solvers._BLOCK_CELLS):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(solvers, "_BLOCK_CELLS", cells)
-                    assert _accepts(inst, d, order, masks).tolist() == want
+                    assert _Oracle(inst, order).accepts(d, _Batch(masks, n)).tolist() == want
 
     @pytest.mark.parametrize(
         "rule, votes",
@@ -617,7 +649,78 @@ class TestDistrictOracle:
             placed = frozenset(a for j, a in enumerate(order) if mask >> (2 - j) & 1)
             w = winners(rule, inst.election_with(1, placed))
             want.append(not placed or (placed <= w and (bound == UNBOUNDED or len(w) <= 2)))
-        assert _accepts(inst, 0, order, masks).tolist() == want
+        assert _Oracle(inst, order).accepts(0, _Batch(masks, 3)).tolist() == want
+
+
+    @staticmethod
+    def _checked_reads(solve, inst, chunk=solvers._CHUNK_ROWS):
+        """Solve with every verdict of the shared oracle checked against
+        `winners` on every row; the districts that read each batch, in the
+        order they read it."""
+        reads = {}
+        accepts = _Oracle.accepts
+
+        def checked_accepts(oracle, d, batch):
+            verdict = accepts(oracle, d, batch)
+            names = oracle.order
+            for mask, got in zip(batch.masks.tolist(), verdict.tolist()):
+                placed = frozenset(
+                    a for j, a in enumerate(names) if mask >> (len(names) - 1 - j) & 1
+                )
+                w = winners(inst.rule, inst.election_with(d + 1, placed))
+                within = inst.bound == UNBOUNDED or len(w) <= inst.bound.limit
+                assert got == (not placed or (placed <= w and within)), (d, sorted(placed))
+            reads.setdefault(id(batch), (batch, []))[1].append(d)
+            return verdict
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Oracle, "accepts", checked_accepts)
+            mp.setattr(solvers, "_CHUNK_ROWS", chunk)
+            result = checked(inst, solve(inst))
+        assert result.answer == placement_scan(inst)[0]
+        return [districts for _, districts in reads.values()]
+
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_batches_match_winners_on_every_row(self, seed):
+        """Districts of 0 to 3 own candidates read one batch: the lone chunk
+        of every table, 4-mask chunks, the complements of `_last_takes`, and
+        crc1's singletons under bound 1."""
+        rng = random.Random(seed)
+        n = rng.randint(0, 6)
+        rule = Condorcet() if rng.random() < 0.25 else _random_rule(rng, 3 + n)
+        params = RandomInstanceParams(
+            districts=rng.randint(1, 4),
+            additional=n,
+            rule=rule,
+            max_votes=rng.randint(0, 5),
+            bound=rng.choice([AtMost(1), AtMost(2), AtMost(3), UNBOUNDED]),
+            priced=rng.random() < 0.3,
+        )
+        inst = random_instance(params, seed)
+        for chunk in (4, solvers._CHUNK_ROWS):
+            self._checked_reads(solve_brute, inst, chunk)
+        if inst.bound == AtMost(1):
+            self._checked_reads(solve_crc1, inst)
+
+    def test_one_batch_serves_districts_of_different_sizes(self):
+        # 1-approval, districts of 0, 1 and 2 own candidates: district 1
+        # takes {a} or {b}, district 2 nothing, district 3 only {b}.  The
+        # two tables read the one lone chunk, district 3 is asked only about
+        # complements, and crc1 asks all three about one batch of singletons.
+        inst = RecampaignInstance(
+            TApproval(1),
+            (
+                District([], [LinearVote(["a", "b"])]),
+                District(["x"], [LinearVote(["x", "a", "b"])]),
+                District(["x", "y"], [LinearVote(["b", "x", "y", "a"])]),
+            ),
+            frozenset("ab"),
+            UNBOUNDED,
+        )
+        assert self._checked_reads(solve_brute, inst) == [[0, 1], [2]]
+        bound1 = dataclasses.replace(inst, bound=AtMost(1))
+        assert self._checked_reads(solve_crc1, bound1) == [[0, 1, 2]]
 
 
 class TestSolveBrute:
@@ -1030,7 +1133,24 @@ class TestSolveE2Unbounded:
             bound=UNBOUNDED,
         )
         inst = random_instance(params, seed)
-        assert checked(inst, solve_e2_unbounded(inst)).answer == solve_brute(inst).answer
+        answer = checked(inst, solve_e2_unbounded(inst)).answer
+        assert answer == solve_brute(inst).answer == placement_scan(inst)[0]
+
+    def test_no_takes_work_linear_in_k(self):
+        # 80 districts whose incumbent tops their one ballot: neither arrival
+        # can win anywhere.  A scan of the 80² placements, a `verify` each,
+        # took seconds; the DP asks 79 tables of 2² rows and tries at most
+        # 2²·2² pairs a layer, and holds the node budget.
+        districts = tuple(
+            District([f"c{i}"], [LinearVote([f"c{i}", "a1", "a2"])]) for i in range(80)
+        )
+        inst = RecampaignInstance(E2(), districts, frozenset({"a1", "a2"}), UNBOUNDED)
+        result = checked(inst, solve_e2_unbounded(inst))
+        assert (result.algorithm, result.answer) == ("e2-unbounded", False)
+        assert result.statistics["nodes"] <= 20 * inst.k
+        with pytest.raises(ResourceBudgetError):
+            solve_e2_unbounded(inst, node_budget=inst.k)
+        assert ROUTES["e2"].budgeted
 
 
 class TestSolveAuto:
@@ -1181,3 +1301,20 @@ def test_counts_and_budgets_must_be_ints(call):
     of 1 or a one-candidate election."""
     with pytest.raises(ShapeError):
         call()
+
+
+def test_cross_validate_script_agrees():
+    """`scripts/cross_validate.py` decides seeded draws by every route that
+    takes them, with ballots cast once, twice and 256 times, against the
+    placement scan, and exits nonzero on any disagreement."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    script = root / "scripts" / "cross_validate.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--trials", "20", "--seed", "7"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
