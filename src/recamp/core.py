@@ -60,8 +60,12 @@ class LinearVote:
             raise ShapeError(f"vote repeats a candidate: {self.order}")
 
     def restrict(self, keep: frozenset[str]) -> "LinearVote":
-        """Drop every candidate outside `keep`, preserving relative order."""
-        return LinearVote(c for c in self.order if c in keep)
+        """Drop every candidate outside `keep`, preserving relative order.
+        Part of an order that repeats no candidate repeats none either, so
+        the result is not checked again."""
+        vote = object.__new__(LinearVote)
+        object.__setattr__(vote, "order", tuple([c for c in self.order if c in keep]))
+        return vote
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,14 @@ instance with `WrongVariantError`, and the CLI's `--algorithm` comes from it.
 
 crc1 (singletons) and the DP (the sets of at most ℓ candidates, or every
 set unbounded, for districts 1..k-1, the complements of the sets they can
-take for district k) ask one batched question, `_Oracle.accepts`: which
-sets S ⊆ A, given as bit masks, does district i accept, electing all of S
-within the bound?  One `_Oracle` serves a solve: it compiles a district's
-ballots (`perms`, `pos`) the first time the district is asked and keeps
-them.  A `_Batch` of masks is read by every district asked about it, and
-keeps, per own-candidate count, the set sizes and the presence rows, as
-bools and in the kernel's lanes: the DP's lone chunk is one batch for every
-table, crc1's singletons one for every district.  The scoring kernel ranks
+take for district k) ask one batched question, `_accepts`: which sets
+S ⊆ A, given as bit masks, does district i accept, electing all of S within
+the bound?  Each ask compiles the district's ballots (`perms`, `pos`); a
+district is asked once per table chunk.  A `_Batch` of masks is read by
+every district asked about it and keeps their popcounts and presence rows,
+as bools and in the kernel's lanes, one array each, with a row of ones per
+own candidate of its largest reader: the DP's lone chunk is one batch for
+every table, crc1's singletons one for every district.  The scoring kernel ranks
 in narrow lanes and tallies in the narrowest unsigned type that holds the
 district's ballots times the largest point; explicit vectors are shifted by
 their least entry first, and a district whose tally would not fit 64 bits
@@ -221,9 +221,9 @@ def _ballots(votes, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     orders = [vote.order for vote in votes]
     if orders and len(orders[0]) > len(index):
         orders = [[c for c in order if c in index] for order in orders]
-    perms = np.array(
-        [[index[c] for c in order] for order in orders], dtype=np.intp
-    ).reshape(len(votes), len(index))
+    entries = map(index.__getitem__, itertools.chain.from_iterable(orders))
+    perms = np.fromiter(entries, dtype=np.intp, count=len(votes) * len(index))
+    perms = perms.reshape(len(votes), len(index))
     return perms, perms.argsort(axis=1)
 
 
@@ -340,104 +340,91 @@ def _condorcet_winners(pos: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 class _Batch:
     """One batch of masks as the oracle reads them, shared by every district
-    asked about it: their popcounts, and per own-candidate count the set
-    sizes and the presence rows, each built on first use.
+    asked about it: their popcounts and the presence rows, built on first use.
 
     Bit n-1-j of a mask stands for order[j]; an object array of Python ints
     holds a set of more than 63.  present[c, r] says candidate c is in the
     set of column r: a district's own candidates first, always present, then
-    order[j]."""
+    order[j].  The rows are built once, with `own` leading rows of ones for
+    the most own candidates of a district that reads the batch, and a
+    district of fewer reads their trailing rows, so a batch holds one array
+    whatever the sizes of the districts that read it."""
 
-    def __init__(self, masks: np.ndarray, n: int) -> None:
-        self.masks, self.n = masks, n
+    def __init__(self, masks: np.ndarray, n: int, own: int) -> None:
+        self.masks, self.n, self.own = masks, n, own
         self.pop = np.bitwise_count(masks)
         self.empty = self.pop == 0
-        self._size: dict[int, np.ndarray] = {}
-        self._present: dict[int, np.ndarray] = {}
-        self._lanes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def size(self, own: int) -> np.ndarray:
-        """The size of each set with `own` candidates added."""
-        if own not in self._size:
-            self._size[own] = self.pop.astype(np.intp) + own
-        return self._size[own]
+        self._present: np.ndarray | None = None
+        self._lanes: np.ndarray | None = None
 
     def present(self, own: int) -> np.ndarray:
         """The presence rows of a district of `own` candidates."""
-        if own not in self._present:
-            present = np.ones((own + self.n, len(self.masks)), dtype=bool)
+        if self._present is None:
+            present = np.ones((self.own + self.n, len(self.masks)), dtype=bool)
             bits = np.left_shift(1, np.arange(self.n - 1, -1, -1, dtype=self.masks.dtype))
-            np.not_equal(self.masks & bits[:, None], 0, out=present[own:])
-            self._present[own] = present
-        return self._present[own]
+            np.not_equal(self.masks & bits[:, None], 0, out=present[self.own :])
+            present.flags.writeable = False  # every reader gets a view
+            self._present = present
+        return self._present[self.own - own :]
 
     def lanes(self, own: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ones, size) as the scoring kernel ranks them: the presence rows
-        in the narrowest unsigned type that holds a rank, with absent
-        columns padded on to whole 64-bit words, and the sizes padded alike."""
-        if own not in self._lanes:
-            present, size = self.present(own), self.size(own)
+        """(ones, size) as the scoring kernel ranks them for a district of
+        `own` candidates: the presence rows in an unsigned type that holds
+        a rank, with absent columns padded on to whole 64-bit words, and
+        the set sizes, 0 in the pad."""
+        if self._lanes is None:
+            present = self.present(self.own)
             rank = np.min_scalar_type(len(present))
             pad = -len(self.masks) % (8 // rank.itemsize)
-            ones = np.zeros((len(present), len(self.masks) + pad), dtype=rank)
-            ones[:, : len(self.masks)] = present
-            self._lanes[own] = ones, np.concatenate((size, np.zeros(pad, dtype=size.dtype)))
-        return self._lanes[own]
+            self._lanes = np.zeros((len(present), len(self.masks) + pad), dtype=rank)
+            self._lanes[:, : len(self.masks)] = present
+            self._lanes.flags.writeable = False
+        size = np.zeros(self._lanes.shape[1], dtype=np.intp)
+        size[: len(self.masks)] = self.pop + own
+        return self._lanes[self.own - own :], size
 
 
-class _Oracle:
-    """The district oracle of one solve over the additional candidates
-    `order`: which sets of a `_Batch` district d (0-based) accepts.  A
-    district's ballots are compiled (`_ballots`, over its own candidates
-    then `order`) the first time it is asked, and kept for the solve."""
+def _accepts(inst: RecampaignInstance, d: int, order: list[str], batch: _Batch) -> np.ndarray:
+    """verdict[r]: district d (0-based) accepts exactly the set batch.masks[r].
 
-    def __init__(self, inst: RecampaignInstance, order: list[str]) -> None:
-        self.inst, self.order, self.bound = inst, order, _bound(inst)
-        self._ballots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def ballots(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        if d not in self._ballots:
-            district = self.inst.districts[d]
-            index = {c: j for j, c in enumerate(sorted(district.candidates) + self.order)}
-            self._ballots[d] = _ballots(district.votes, index)
-        return self._ballots[d]
-
-    def accepts(self, d: int, batch: _Batch) -> np.ndarray:
-        """verdict[r]: district d accepts exactly the set batch.masks[r].
-
-        A row is accepted when every candidate it places wins district d
-        with exactly those candidates added and, under a bound ℓ, the
-        district has at most ℓ winners.  The empty row is always accepted:
-        untouched districts carry no condition."""
-        rule, bound = self.inst.rule, self.bound
-        own = len(self.inst.districts[d].candidates)
-        pop, size = batch.pop, batch.size(own)
-        if isinstance(rule, TrivialScoring):
-            placed_win = np.ones(len(pop), dtype=bool)
-            win_count = size
-        elif isinstance(rule, E1):
-            placed_win = size == 3
-            win_count = np.where(placed_win, 3, 0)
+    A row is accepted when every candidate it places wins district d with
+    exactly those candidates added and, under a bound ℓ, the district has
+    at most ℓ winners.  The empty row is always accepted: untouched
+    districts carry no condition.
+    """
+    rule = inst.rule
+    district = inst.districts[d]
+    own = sorted(district.candidates)
+    bound = _bound(inst)
+    pop = batch.pop
+    if isinstance(rule, TrivialScoring):
+        placed_win = np.ones(len(pop), dtype=bool)
+        win_count = pop.astype(np.intp) + len(own)
+    elif isinstance(rule, E1):  # the three candidates of a set of three win
+        placed_win = pop == 3 - len(own)
+        win_count = np.where(placed_win, 3, 0)
+    else:
+        present = batch.present(len(own))
+        perms, pos = _ballots(district.votes, {c: j for j, c in enumerate(own + order)})
+        if isinstance(rule, Condorcet):
+            winner = _condorcet_winners(pos, present)
+        elif isinstance(rule, E2):  # 1-approval, or all present from four on
+            winner = _scoring_winners(TApproval(1), perms, pos, *batch.lanes(len(own)))
+            winner = winner[:, : len(pop)]
+            big = pop >= 4 - len(own)
+            winner[:, big] = present[:, big]
         else:
-            present = batch.present(own)
-            perms, pos = self.ballots(d)
-            if isinstance(rule, Condorcet):
-                winner = _condorcet_winners(pos, present)
-            else:
-                kernel = TApproval(1) if isinstance(rule, E2) else rule
-                winner = _scoring_winners(kernel, perms, pos, *batch.lanes(own))[:, : len(pop)]
-                if isinstance(rule, E2):
-                    winner[:, size >= 4] = present[:, size >= 4]
-            # No absent candidate wins a column with one present, and a
-            # column with none is the empty set, accepted below.
-            placed = winner[own:].sum(axis=0, dtype=np.min_scalar_type(batch.n))
-            placed_win = placed == pop
-            if bound is not None:
-                win_count = winner.sum(axis=0, dtype=np.min_scalar_type(len(present)))
-        verdict = placed_win
+            winner = _scoring_winners(rule, perms, pos, *batch.lanes(len(own)))[:, : len(pop)]
+        # No absent candidate wins a column with one present, and a column
+        # with none is the empty set, accepted below.
+        placed = winner[len(own) :].sum(axis=0, dtype=np.min_scalar_type(len(order)))
+        placed_win = placed == pop
         if bound is not None:
-            verdict = verdict & (win_count <= bound)
-        return verdict | batch.empty
+            win_count = winner.sum(axis=0, dtype=np.min_scalar_type(len(present)))
+    verdict = placed_win
+    if bound is not None:
+        verdict = verdict & (win_count <= bound)
+    return verdict | batch.empty
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +445,13 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     _admit(inst, "crc1")
     order = sorted(inst.additional)
     alone = np.zeros((inst.k, len(order)), dtype=bool)
+    own = max(len(d.candidates) for d in inst.districts)
     for start in range(0, len(order), 63):
         part = order[start : start + 63]
-        oracle = _Oracle(inst, part)
         singletons = np.left_shift(1, np.arange(len(part) - 1, -1, -1, dtype=np.int64))
-        batch = _Batch(singletons, len(part))
+        batch = _Batch(singletons, len(part), own)
         for d in range(inst.k):
-            alone[d, start : start + len(part)] = oracle.accepts(d, batch)
+            alone[d, start : start + len(part)] = _accepts(inst, d, part, batch)
     alone = alone.tolist()
     edges = [
         (j, i, inst.pricing.price(i + 1, a) if inst.pricing else 0, 1)
@@ -533,29 +520,29 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
 
 _CHUNK_ROWS = 1 << 14
 
-# Up to this many bits, filtering all 2^n masks by popcount enumerates the
-# masks of at most `level` bits faster than growing them bit by bit (the two
-# crossed between 15 and 16 bits on a 2-core x86 machine).
-_FILTER_BITS = 15
+# `_masks` filters the masks of this many low bits from all 2^_SEED_BITS of
+# them and grows the higher bits on one at a time.  At level 3 this split
+# was the fastest of 0, 6, 8, 10, 12 and 15 for every n from 6 to 30 (timeit
+# on a 2-core x86 machine, numpy 2.4: 33.7 → 3.9 µs at n = 9, 55 → 22 µs at
+# n = 15, 170 → 133 µs at n = 30, against growing every bit).
+_SEED_BITS = 12
 
 
 def _masks(n: int, level: int, word: np.dtype):
     """The masks of n bits with at most `level` of them set, in increasing
-    order, a _CHUNK_ROWS chunk at a time.  Below n they are filtered from
-    all 2^n masks by popcount up to _FILTER_BITS bits, and past it grown bit
-    by bit, each bit appended after the masks without it, which it exceeds."""
+    order, a _CHUNK_ROWS chunk at a time.  Below n, the masks of the low
+    _SEED_BITS bits are filtered from all of them by popcount, and each
+    higher bit is grown on, appended after the masks without it, which it
+    exceeds."""
     if level >= n:
         for start in range(0, 1 << n, _CHUNK_ROWS):
             yield np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=word)
         return
-    if n <= _FILTER_BITS:
-        masks = np.arange(1 << n, dtype=word)
-        masks = masks[np.bitwise_count(masks) <= level]
-    else:
-        masks = np.zeros(1, dtype=word)
-        for b in range(n):
-            grow = masks[np.bitwise_count(masks) < level]
-            masks = np.concatenate((masks, grow | word.type(1 << b)))
+    masks = np.arange(1 << min(n, _SEED_BITS), dtype=word)
+    masks = masks[np.bitwise_count(masks) <= level]
+    for b in range(min(n, _SEED_BITS), n):
+        grow = masks[np.bitwise_count(masks) < level]
+        masks = np.concatenate((masks, grow | word.type(1 << b)))
     for start in range(0, len(masks), _CHUNK_ROWS):
         yield masks[start : start + _CHUNK_ROWS]
 
@@ -582,14 +569,13 @@ class _PlacementDP:
     c when it first needs it, and keeps only the sets of at least
     n - (k-c)·level candidates, as the k-c districts left take at most
     level each.  The masks of the tables come a _CHUNK_ROWS chunk at a
-    time as a `_Batch`, priced on its presence rows only when some price is
+    time as a `_Batch` with a row of ones per own candidate of the largest
+    district (`own`), priced on its presence rows only when some price is
     nonzero (`priced`).  A lone chunk is kept as `lone`, so every table
-    reads the same masks, popcounts, sizes and presence rows, built once
-    per own-candidate count (a price filter that drops a mask gives that
-    table a batch of its own).
-    `oracle` compiles each district's ballots once per solve.  A forward
-    step whose pairs fit one block tries them in one numpy pass and keeps
-    the least price of each union by one sort.  The last district has no
+    reads the same masks, popcounts and presence rows, built once per
+    solve (a price filter that drops a mask gives that table a batch of
+    its own).  A forward step keeps the least price of each union by one
+    sort of mask and price.  The last district has no
     table: it is asked only about the complements of the sets of
     `fwd[k-1]`.  `limit` is the node budget: the DP is refused up
     front when its tables' (k-1)·Σ_{s≤level} C(n, s) rows exceed it (below
@@ -624,7 +610,7 @@ class _PlacementDP:
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64 if self.n <= 63 else object)
         self.price = np.min_scalar_type(2 * self.cap + 1)
         self.full = (1 << self.n) - 1
-        self.oracle = _Oracle(inst, order)
+        self.own = max(len(d.candidates) for d in inst.districts)
         self.lone: _Batch | None = None
         self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
@@ -637,13 +623,13 @@ class _PlacementDP:
     def _chunks(self):
         """Each chunk of masks as an oracle `_Batch`.  A lone chunk is
         enumerated once and kept for every table, with the presence rows
-        its batch builds, once per own-candidate count; more chunks are
-        enumerated again for each table, so memory stays bounded."""
+        its batch builds; more chunks are enumerated again for each table,
+        so memory stays bounded."""
         if self.lone is not None:
             yield self.lone
             return
         for i, span in enumerate(_masks(self.n, self.level, self.word)):
-            batch = _Batch(span, self.n)
+            batch = _Batch(span, self.n, self.own)
             if i == 0 and len(span) < _CHUNK_ROWS:  # the only chunk
                 self.lone = batch
             yield batch
@@ -660,29 +646,30 @@ class _PlacementDP:
                 cost = self.prices[:, d] @ batch.present(0)
                 ok = cost <= self.cap
                 if not ok.all():
-                    span, cost, batch = span[ok], cost[ok], _Batch(span[ok], self.n)
+                    span, cost, batch = span[ok], cost[ok], _Batch(span[ok], self.n, self.own)
                 cost = cost.astype(self.price)
             self._spend(len(span))
-            ok = self.oracle.accepts(d, batch)
+            ok = _accepts(self.inst, d, self.order, batch)
             masks.append(span[ok])
             costs.append(cost[ok])
         return np.concatenate(masks), np.concatenate(costs)
 
-    def _pairs(self, left: np.ndarray, right: np.ndarray):
-        """Index pairs (i, j) with left[i] & right[j] == 0 for sorted masks,
-        a block of at most _CHUNK_ROWS tried pairs at a time, each tried
-        pair counted as work.  A set disjoint from L is at most full - L, so
-        a block of left masks tries only the right masks up to full minus
-        its least one."""
+    def _unions(self, left, left_cost, right, right_cost):
+        """The union and summed price of each disjoint pair of sets from the
+        sorted masks `left` and `right`, a block of at most _CHUNK_ROWS tried
+        pairs at a time, each tried pair counted as work.  A set disjoint
+        from L is at most full - L, so a block of left masks tries only the
+        right masks up to full minus its least one."""
         for r0 in range(0, len(right), _CHUNK_ROWS):
-            block = right[r0 : r0 + _CHUNK_ROWS]
+            block, block_cost = right[r0 : r0 + _CHUNK_ROWS], right_cost[r0 : r0 + _CHUNK_ROWS]
             l0 = 0
             while l0 < len(left):
                 fits = block[: block.searchsorted(self.full - left[l0], "right")]
-                rows = left[l0 : l0 + _CHUNK_ROWS // max(1, len(fits))]
+                end = l0 + _CHUNK_ROWS // max(1, len(fits))
+                rows, rows_cost = left[l0:end], left_cost[l0:end]
                 self._spend(len(rows) * len(fits))
                 i, j = ((rows[:, None] & fits) == 0).nonzero()
-                yield i + l0, j + r0
+                yield rows[i] | fits[j], rows_cost[i] + block_cost[j]
                 l0 += len(rows)
 
     def _forward(self, c: int) -> None:
@@ -694,49 +681,36 @@ class _PlacementDP:
             self.fwd.append((sets[keep], set_cost[keep]))
             return
         left, left_cost = self.fwd[c - 1]
-        fits = sets[: sets.searchsorted(self.full - left[0], "right")]
-        if len(left) * len(fits) <= _CHUNK_ROWS:  # one block tries every pair
-            self._spend(len(left) * len(fits))
-            i, j = ((left[:, None] & fits) == 0).nonzero()
-            self.fwd.append(_least(*self._join(left, left_cost, i, sets, set_cost, j, floor)))
-            return
         masks, costs, held = [left[:0]], [left_cost[:0]], 0
-        for i, j in self._pairs(left, sets):
-            union, price = self._join(left, left_cost, i, sets, set_cost, j, floor)
-            masks.append(union)
-            costs.append(price)
-            held += len(union)
+        for union, price in self._unions(left, left_cost, sets, set_cost):
+            keep = (price <= self.cap) & (np.bitwise_count(union) >= floor)
+            masks.append(union[keep])
+            costs.append(price[keep])
+            held += len(masks[-1])
             if held > 4 * max(_CHUNK_ROWS, len(masks[0])):
                 # merge at 4x the merged sets: memory stays bounded, sorting linear
                 merged = _least(np.concatenate(masks), np.concatenate(costs))
                 masks, costs, held = [merged[0]], [merged[1]], 0
         self.fwd.append(_least(np.concatenate(masks), np.concatenate(costs)))
 
-    def _join(self, left, left_cost, i, right, right_cost, j, floor):
-        """The unions of the disjoint pairs (left[i], right[j]) at the sum
-        of their prices, kept when within the budget and of at least
-        `floor` candidates."""
-        union, price = left[i] | right[j], left_cost[i] + right_cost[j]
-        keep = np.bitwise_count(union) >= floor
-        if self.priced:
-            keep &= price <= self.cap
-        return union[keep], price[keep]
-
     def _last_takes(self) -> tuple[int, int] | None:
         """The first set of `fwd[k-1]` whose complement the last district
         accepts within the budget, with the budget it leaves; None if none."""
         reach, reach_cost = self.fwd[-1]
+        own = len(self.inst.districts[-1].candidates)
         for start in range(0, len(reach), _CHUNK_ROWS):
-            rest = self.full ^ reach[start : start + _CHUNK_ROWS]
+            rest = _Batch(self.full ^ reach[start : start + _CHUNK_ROWS], self.n, own)
             if self.priced:
-                placed = _Batch(rest, self.n).present(0)
                 # clipped into the price type: a mixed sum would go through float64
-                togo = np.minimum(self.prices[:, -1] @ placed, self.cap + 1).astype(self.price)
+                togo = self.prices[:, -1] @ rest.present(0)
+                togo = np.minimum(togo, self.cap + 1).astype(self.price)
                 ok = (reach_cost[start : start + _CHUNK_ROWS] + togo <= self.cap).nonzero()[0]
+                if len(ok) < len(togo):
+                    rest = _Batch(rest.masks[ok], self.n, own)
             else:  # every price 0: each complement is within the budget
-                togo, ok = np.zeros(len(rest), dtype=self.price), np.arange(len(rest))
+                togo, ok = np.zeros(len(rest.masks), dtype=self.price), np.arange(len(rest.masks))
             self._spend(len(ok))
-            ok = ok[self.oracle.accepts(self.k - 1, _Batch(rest[ok], self.n))]
+            ok = ok[_accepts(self.inst, self.k - 1, self.order, rest)]
             if len(ok):
                 return int(reach[start + ok[0]]), self.cap - int(togo[ok[0]])
         return None
@@ -754,8 +728,8 @@ class _PlacementDP:
         if self.k == 1:
             self._spend(1)
             fits = self.level == self.n and self.prices[:, 0].sum() <= self.cap
-            everyone = np.array([self.full], dtype=self.word)
-            if fits and self.oracle.accepts(0, _Batch(everyone, self.n))[0]:
+            everyone = _Batch(np.array([self.full], dtype=self.word), self.n, self.own)
+            if fits and _accepts(self.inst, 0, self.order, everyone)[0]:
                 return [1] * self.n
             return None
         e = 0

@@ -62,7 +62,7 @@ from recamp import (
     x3c_to_veto,
 )
 from recamp import formats, solvers
-from recamp.solvers import ROUTES, _Batch, _Oracle
+from recamp.solvers import ROUTES, _Batch, _accepts
 
 from oracles import exact_cover_scan, placement_scan
 
@@ -603,6 +603,7 @@ class TestDistrictOracle:
             list(itertools.product([False, True], repeat=n)), dtype=bool
         ).reshape(2**n, n)
         masks = np.arange(2**n, dtype=np.int32)  # bit n-1-j of row r is rows[r, j]
+        most = max(len(district.candidates) for district in inst.districts)
         for d in range(inst.k):
             want = []
             for row in rows:
@@ -613,7 +614,8 @@ class TestDistrictOracle:
             for cells in (1, 2**9, solvers._BLOCK_CELLS):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(solvers, "_BLOCK_CELLS", cells)
-                    assert _Oracle(inst, order).accepts(d, _Batch(masks, n)).tolist() == want
+                    batch = _Batch(masks, n, most)
+                    assert _accepts(inst, d, order, batch).tolist() == want
 
     @pytest.mark.parametrize(
         "rule, votes",
@@ -649,7 +651,7 @@ class TestDistrictOracle:
             placed = frozenset(a for j, a in enumerate(order) if mask >> (2 - j) & 1)
             w = winners(rule, inst.election_with(1, placed))
             want.append(not placed or (placed <= w and (bound == UNBOUNDED or len(w) <= 2)))
-        assert _Oracle(inst, order).accepts(0, _Batch(masks, 3)).tolist() == want
+        assert _accepts(inst, 0, order, _Batch(masks, 3, 2)).tolist() == want
 
 
     @staticmethod
@@ -658,11 +660,10 @@ class TestDistrictOracle:
         `winners` on every row; the districts that read each batch, in the
         order they read it."""
         reads = {}
-        accepts = _Oracle.accepts
+        accepts = solvers._accepts
 
-        def checked_accepts(oracle, d, batch):
-            verdict = accepts(oracle, d, batch)
-            names = oracle.order
+        def checked_accepts(inst, d, names, batch):
+            verdict = accepts(inst, d, names, batch)
             for mask, got in zip(batch.masks.tolist(), verdict.tolist()):
                 placed = frozenset(
                     a for j, a in enumerate(names) if mask >> (len(names) - 1 - j) & 1
@@ -674,7 +675,7 @@ class TestDistrictOracle:
             return verdict
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Oracle, "accepts", checked_accepts)
+            mp.setattr(solvers, "_accepts", checked_accepts)
             mp.setattr(solvers, "_CHUNK_ROWS", chunk)
             result = checked(inst, solve(inst))
         assert result.answer == placement_scan(inst)[0]
@@ -721,6 +722,35 @@ class TestDistrictOracle:
         assert self._checked_reads(solve_brute, inst) == [[0, 1], [2]]
         bound1 = dataclasses.replace(inst, bound=AtMost(1))
         assert self._checked_reads(solve_crc1, bound1) == [[0, 1, 2]]
+
+    def test_one_batch_keeps_one_array_for_every_district_size(self):
+        """Districts of 0 to 30 own candidates read one batch of 2^12 masks:
+        it keeps one presence array and one lanes array, with a row per own
+        candidate of the largest district, and each district reads their
+        trailing rows.  A copy per own-candidate count would hold 16 times
+        as much."""
+        n, most = 12, 30
+        order = [f"a{j:02d}" for j in range(n)]
+        districts = []
+        for own in range(most + 1):
+            names = [f"d{c:02d}" for c in range(own)]
+            districts.append(District(names, [LinearVote(order + names)]))
+        inst = RecampaignInstance(TApproval(1), tuple(districts), frozenset(order), UNBOUNDED)
+        batch = _Batch(np.arange(1 << n, dtype=np.int32), n, most)
+        tracemalloc.start()
+        try:
+            verdicts = [_accepts(inst, d, order, batch) for d in range(inst.k)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one = (most + n) << n  # one byte a cell, bools and uint8 lanes alike
+        assert 2 * one <= held < 3 * one
+        for own, verdict in enumerate(verdicts):
+            # the sole ballot ranks every additional candidate first: a set
+            # wins if it is a singleton or the empty set
+            assert verdict.tolist() == [bin(m).count("1") <= 1 for m in range(1 << n)]
+            assert batch.present(own).shape == (own + n, 1 << n)
+            assert batch.present(own)[:own].all()
 
 
 class TestSolveBrute:
