@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Cross-validate every route against the subset DP and a placement scan.
+"""Cross-validate every route against a placement scan.
 
 Draws seeded random instances for every built-in rule across all variants
 (winner bounds 1/2/3/unbounded, priced and unpriced) and decides each one
 through `solve_auto` and through every route of the route table
 `recamp.solvers.ROUTES` whose test accepts it: `brute` (the subset DP) on
-every draw, `fpt` on the bounded ones, `crc1` at bound 1, `bmatch` under the
-trivial rule, `e1` and `e2` on their unpriced variants.  Every answer must
-match `placement_scan` from `tests/oracles.py`, which checks every placement
-with `verify` and shares no code with the solvers' district oracle.  Past
-its n > k·ℓ guard `fpt` runs the DP of `brute`, so the two must return the
-same assignment, cost and `nodes`.  Every draw is decided twice more by
-`solve_brute`, with each district's ballots cast twice and cast 256 times:
-repeating every ballot equally often keeps every scoring winner and every
-strict majority, so the answer must not change.  Doubling puts repeated
+every draw, `crc1` at bound 1, `bmatch` under the trivial rule, `e1` on
+unpriced E1 at bound 3 and `e2` on unpriced unbounded E2 with at least four
+additional candidates.  Every answer must match `placement_scan` from
+`tests/oracles.py`, which checks every placement with `verify` and shares
+no code with the solvers' district oracle.  Every draw is decided twice
+more by `solve_brute`, with each district's ballots cast twice and cast 256
+times: repeating every ballot equally often keeps every scoring winner and
+every strict majority, so the answer must not change.  Doubling puts repeated
 ballots in the oracle's ballot blocks; 256 copies take every district that
 has ballots past 255 of them, so its tallies no longer fit one byte.  Every
 YES must report the cost `verify` computes for its witness, and on the
@@ -21,8 +20,7 @@ matching routes (`crc1-matching`, `b-matching`) that cost must be the
 scan's minimum, so the two matching engines agree wherever both apply.
 Reports per-rule agreement, yes-rates and which routes `solve_auto` took,
 then how many draws each route decided and its mean time.  Exits nonzero
-if any answer, cost or fpt-brute result disagrees, so the script doubles
-as a soak test.
+if any answer or cost disagrees, so the script doubles as a soak test.
 
     python3 scripts/cross_validate.py --trials 400 --seed 7
 """
@@ -94,8 +92,9 @@ def recast(inst, times):
 
 
 def decide(route, inst, node_budget):
-    if route.budgeted:
-        return route.method(inst, node_budget=node_budget)
+    """Only `solve_brute` spends the node budget."""
+    if route.method is solve_brute:
+        return solve_brute(inst, node_budget=node_budget)
     return route.method(inst)
 
 
@@ -138,12 +137,6 @@ def run(args: argparse.Namespace) -> int:
                 errors += cost_errors(inst, result, best_cost)
                 if result.answer != scan:
                     errors.append(f"{route_name}={result.answer} scan={scan}")
-            slow, fpt = results["brute"], results.get("fpt")
-            if fpt is not None and not fpt.statistics["guard"] and (
-                (fpt.assignment, fpt.cost, fpt.statistics["nodes"])
-                != (slow.assignment, slow.cost, slow.statistics["nodes"])
-            ):
-                errors.append(f"fpt and brute differ: {fpt} vs {slow}")
             for times in (2, 256):
                 recast_inst = recast(inst, times)
                 again = solve_brute(recast_inst, node_budget=args.node_budget)
@@ -166,7 +159,7 @@ def run(args: argparse.Namespace) -> int:
     if failures:
         print(f"\n{failures} disagreement(s) found", file=sys.stderr)
         return 1
-    print("\nall answers and costs agree with the subset DP and the placement scan")
+    print("\nall answers and costs agree with the placement scan")
     return 0
 
 

@@ -6,9 +6,10 @@ or precondition problems, 3 when an enumeration would exceed the node budget,
 whether it refuses to start or stops partway (RECAMP_NODE_BUDGET overrides
 the default).
 
-`solve --algorithm` takes `auto` or a route of `solvers.ROUTES`, which says
-whether it takes `--node-budget`; `reduce --from --to` takes a pair of
-`_REDUCTIONS`, and `_SOURCES` parses its source.
+`solve --algorithm` takes `auto` or a route of `solvers.ROUTES`; only `auto`
+and `brute` take `--node-budget`, since the DP of `brute` is the one route
+that spends it.  `reduce --from --to` takes a pair of `_REDUCTIONS`, and
+`_SOURCES` parses its source.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     inst = formats.parse_instance(_read(args.instance))
     solver = _SOLVERS[args.algorithm]
     start = time.perf_counter()
-    if args.algorithm == "auto" or ROUTES[args.algorithm].budgeted:
+    if args.algorithm in ("auto", "brute"):
         result = solver(inst, args.node_budget)
     else:
         result = solver(inst)

@@ -146,7 +146,7 @@ def parse_rule(doc: Any) -> VotingRule:
         return TrivialScoring()
     if family == "explicit":
         vectors = doc.get("vectors")
-        if not isinstance(vectors, list):
+        if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
             raise ShapeError("rule.vectors must be a list of score lists")
         return ExplicitScoringFamily(
             tuple(tuple(_int(x, "score") for x in v) for v in vectors)

@@ -4,15 +4,15 @@ Entry points (all return a `SolveResult`):
 
 - `solve_crc1`            bound ℓ=1, any rule: weighted bipartite matching.
 - `solve_trivial_scoring` trivial scoring rule, any bound: perfect b-matching.
-- `solve_fpt`             bounded variant, any rule: guard n ≤ k·ℓ, then the
-                          subset DP over the sets of at most ℓ candidates.
-- `solve_brute`           any variant: the same subset DP over (district,
-                          covered set) on the verdict tables, the reference
-                          for the rest; its witness is read back from the
-                          DP's forward layers.
+- `solve_brute`           any variant: the one exact engine, a subset DP over
+                          (district, covered set) on the verdict tables,
+                          the reference for the rest.  Under a bound ℓ it
+                          answers NO when n > k·ℓ and otherwise asks only
+                          about the sets of at most ℓ candidates, which
+                          makes it FPT in |A|; its witness is read back from
+                          the DP's forward layers.
 - `solve_e1_bound3`       the E1 rule with bound 3: counting argument.
-- `solve_e2_unbounded`    the E2 rule unbounded: one witness from |A| = 4 on,
-                          below it the subset DP, linear in k.
+- `solve_e2_unbounded`    the E2 rule unbounded with |A| ≥ 4: one witness.
 - `solve_auto`            the first route of `ROUTES` whose test holds.
 
 `ROUTES`, the table at the end of the module, states once which variant each
@@ -35,11 +35,10 @@ their least entry first, and a district whose tally would not fit 64 bits
 is refused.  `verify` stays on the object path as the independent referee
 for every YES, and every reported cost is the one `verify` computes, in
 Python ints.  Prices enter int64 clipped to budget + 1, since a price above
-the budget is never paid.  The DP holds the node budget for `solve_brute`,
-`solve_fpt` and `solve_e2_unbounded` alike: it refuses up front when the
-oracle rows its tables can ask exceed the budget, and stops once its work,
-the oracle rows asked plus the disjoint pairs tried, exceeds it; that work
-is their `nodes`.
+the budget is never paid.  The DP holds the node budget, the only one the
+routes spend: it refuses up front when the oracle rows its tables can ask
+exceed the budget, and stops once its work, the oracle rows asked plus the
+disjoint pairs tried, exceeds it; that work is its `nodes`.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ __all__ = [
     "solve_crc1",
     "solve_trivial_scoring",
     "build_exact_cover_system",
-    "solve_fpt",
     "solve_brute",
     "solve_e1_bound3",
     "solve_e2_unbounded",
@@ -131,15 +129,14 @@ class SolveResult:
     """A decision, its witness on YES, and the route's statistics.
 
     `statistics["nodes"]` is the route's unit of work:
-    - `brute` and `fpt`: the DP's work, the oracle rows asked plus the
-      disjoint pairs tried (1 for a single district), the quantity the node
-      budget limits; 0 when fpt's n > k·ℓ guard answers;
+    - `brute`: the DP's work, the oracle rows asked plus the disjoint pairs
+      tried, the quantity the node budget limits; 0 when the n > k·ℓ guard
+      answers (`guard` 1) or no row is asked, as for |A| = 0;
     - `crc1-matching`: the n·k singleton rows asked of the oracle;
     - `b-matching`: the k districts, one capacity each;
     - `e1-bound3`: the (1-room, 2-room) take pairs tried, the 3-room take
       following from |A|;
-    - `e2-unbounded`: the DP's work as for `brute` when |A| ≤ 3 (with
-      `members` as there), 1 when |A| ≥ 4.
+    - `e2-unbounded`: 1, the one witness.
     """
 
     answer: bool
@@ -558,12 +555,14 @@ def _least(masks: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _PlacementDP:
-    """The subset DP of `solve_brute` and `solve_fpt`, the read-back of its
-    witness, and the node budget of both.
+    """The subset DP of `solve_brute`, the read-back of its witness, and the
+    node budget.
 
     Bit n-1-j of a mask stands for order[j].  A district takes at most
     `level` candidates: ℓ under a bound (a larger set cannot all win), else
-    |A|.  `sets[d]` holds the sets district d+1 accepts, and `fwd[c]` each
+    |A|.  So more than k·level candidates is a NO (`guard`), decided with
+    no work before any refusal or probe; unbounded it never holds.
+    `sets[d]` holds the sets district d+1 accepts, and `fwd[c]` each
     set that districts 1..c can take together, both as sorted masks with
     the least price of each, within the budget only.  Layer c builds table
     c when it first needs it, and keeps only the sets of at least
@@ -595,7 +594,12 @@ class _PlacementDP:
     ) -> None:
         self.inst, self.order, self.n, self.k = inst, order, len(order), inst.k
         self.level = min(_bound(inst) or self.n, self.n)
-        if self.k > 1 and self.n > 63:  # one district needs no masks
+        self.limit, self.work = limit, 0
+        self.sets: list[tuple[np.ndarray, np.ndarray]] = []
+        self.guard = self.n > self.k * self.level
+        if self.guard:
+            return
+        if self.k > 1 and self.n > 63:  # one district asks about A alone
             raise ResourceBudgetError(f"{self.n} candidates exceed the 63 bits of a mask")
         rows = (self.k - 1) * sum(math.comb(self.n, s) for s in range(self.level + 1))
         if rows > limit:
@@ -604,7 +608,6 @@ class _PlacementDP:
             for own in sorted({len(d.candidates) for d in inst.districts}):
                 for size in range(own, own + self.level + 1):
                     scoring_vector(inst.rule, size)
-        self.limit, self.work = limit, 0
         self.prices, self.cap = _price_matrix(inst, order, self.level)
         self.priced = bool(self.prices.any())
         self.word = np.dtype(np.int32 if self.n <= 30 else np.int64 if self.n <= 63 else object)
@@ -612,7 +615,6 @@ class _PlacementDP:
         self.full = (1 << self.n) - 1
         self.own = max(len(d.candidates) for d in inst.districts)
         self.lone: _Batch | None = None
-        self.sets: list[tuple[np.ndarray, np.ndarray]] = []
         self.fwd = [(np.zeros(1, dtype=self.word), np.zeros(1, dtype=self.price))]
 
     def _spend(self, work: int) -> None:
@@ -719,18 +721,13 @@ class _PlacementDP:
         """The district (1-based) of each candidate in a valid placement, or
         None if there is none.
 
-        One district takes all of A or nothing.  Otherwise the forward pass
-        stops at the first layer e that covers every candidate, or with NO
-        at an empty layer; else the last district takes the complement of a
-        set of layer k-1.  The final set is read back down the layers:
-        district c takes a set S it accepts such that the rest of the set
-        is in layer c-1 and the two prices fit the budget left."""
-        if self.k == 1:
-            self._spend(1)
-            fits = self.level == self.n and self.prices[:, 0].sum() <= self.cap
-            everyone = _Batch(np.array([self.full], dtype=self.word), self.n, self.own)
-            if fits and _accepts(self.inst, 0, self.order, everyone)[0]:
-                return [1] * self.n
+        Past the guard, the forward pass stops at the first layer e that
+        covers every candidate, or with NO at an empty layer; else the last
+        district takes the complement of a set of layer k-1 (one district:
+        all of A).  The final set is read back down the layers: district c
+        takes a set S it accepts such that the rest of the set is in layer
+        c-1 and the two prices fit the budget left."""
+        if self.guard:
             return None
         e = 0
         while e < self.k - 1 and self.fwd[e][0][-1] != self.full:
@@ -776,20 +773,6 @@ class _PlacementDP:
         raise AssertionError(f"no set of district {c} completes mask {mask}")
 
 
-def _solve_by_dp(
-    inst: RecampaignInstance, budget: int, algorithm: str, **extra: int
-) -> SolveResult:
-    """Run the DP under the node budget: `nodes` is its work, `members` the
-    accepted sets in the tables it built."""
-    order = sorted(inst.additional)
-    dp = _PlacementDP(inst, order, budget)
-    districts = dp.placement()
-    stats = {"nodes": dp.work, "members": sum(len(m) for m, _ in dp.sets), **extra}
-    if districts is None:
-        return _reject(algorithm, stats)
-    return _accept(inst, dict(zip(order, districts)), algorithm, stats)
-
-
 def solve_brute(
     inst: RecampaignInstance, node_budget: int | None = None
 ) -> SolveResult:
@@ -799,15 +782,29 @@ def solve_brute(
     A DP over (district, covered set) decides the instance: reachability
     when unpriced, the least price within the budget when priced (the
     partition-into-accepted-blocks DP of Björklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007).  The witness, a valid placement, is read back
-    from the forward layers.  The DP holds the node budget (resource error
-    up front or partway, see `_PlacementDP`), and `nodes` is its work.
+    Koivisto, STOC 2007).  Under a bound ℓ each district seats at most ℓ
+    winners, so more than k·ℓ additional candidates is a NO (`guard` 1,
+    no work), and the tables hold only the sets of at most ℓ candidates,
+    the members of the exact-cover system.  The witness, a valid
+    placement, is read back from the forward layers.  The DP holds the
+    node budget (resource error up front or partway, see `_PlacementDP`):
+    `nodes` is its work, `members` the accepted sets in the tables it built.
     """
-    return _solve_by_dp(inst, _resolve_budget(node_budget), "brute")
+    order = sorted(inst.additional)
+    dp = _PlacementDP(inst, order, _resolve_budget(node_budget))
+    districts = dp.placement()
+    stats = {
+        "nodes": dp.work,
+        "members": sum(len(m) for m, _ in dp.sets),
+        "guard": int(dp.guard),
+    }
+    if districts is None:
+        return _reject("brute", stats)
+    return _accept(inst, dict(zip(order, districts)), "brute", stats)
 
 
 # ---------------------------------------------------------------------------
-# Bounded variants: the exact-cover system and the FPT route
+# Bounded variants: the exact-cover system
 # ---------------------------------------------------------------------------
 
 
@@ -867,25 +864,6 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
     return CoverSystem(frozenset(order), tuple(range(1, inst.k + 1)), tuple(members), budget)
 
 
-def solve_fpt(
-    inst: RecampaignInstance, node_budget: int | None = None
-) -> SolveResult:
-    """Decide any bounded variant: guard, then the subset DP at level ℓ.
-
-    More than k·ℓ additional candidates can never all win (each touched
-    district holds at most ℓ of them), so such instances are rejected
-    outright.  Otherwise `solve_brute` decides, with the label `fpt`: its
-    DP asks only about the sets of at most ℓ candidates, the members of
-    the exact-cover system, under the same node budget, and `nodes` is its
-    work.  `members` counts the accepted sets in the tables the DP built.
-    """
-    _admit(inst, "fpt")
-    budget = _resolve_budget(node_budget)
-    if len(inst.additional) > inst.k * inst.bound.limit:
-        return _reject("fpt", {"nodes": 0, "members": 0, "guard": 1})
-    return _solve_by_dp(inst, budget, "fpt", guard=0)
-
-
 # ---------------------------------------------------------------------------
 # The two artificial rules
 # ---------------------------------------------------------------------------
@@ -920,22 +898,15 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     return _reject("e1-bound3", {"nodes": scanned})
 
 
-def solve_e2_unbounded(
-    inst: RecampaignInstance, node_budget: int | None = None
-) -> SolveResult:
-    """E2 unbounded, unpriced: constant-size case analysis.
+def solve_e2_unbounded(inst: RecampaignInstance) -> SolveResult:
+    """E2 unbounded, unpriced, with |A| ≥ 4: one witness.
 
-    With |A| ≥ 4 dumping everybody into district 1 always works (E2 elects
-    the whole slate at ≥ 4 candidates).  Otherwise the subset DP decides
-    under the node budget: its tables hold at most 2³ sets each, so its
-    work is linear in k.
+    Dumping everybody into district 1 always works: E2 elects the whole
+    slate at ≥ 4 candidates.  Fewer candidates are `solve_brute`'s, whose
+    tables then hold at most 2³ sets each, so its work is linear in k.
     """
     _admit(inst, "e2")
-    budget = _resolve_budget(node_budget)
-    order = sorted(inst.additional)
-    if len(order) >= 4:
-        return _accept(inst, {a: 1 for a in order}, "e2-unbounded", {"nodes": 1})
-    return _solve_by_dp(inst, budget, "e2-unbounded")
+    return _accept(inst, dict.fromkeys(sorted(inst.additional), 1), "e2-unbounded", {"nodes": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -946,13 +917,11 @@ def solve_e2_unbounded(
 @dataclass(frozen=True)
 class Route:
     """One method and the variant it decides: `test` says whether an instance
-    is that variant, `variant` names it in the method's `WrongVariantError`,
-    and a `budgeted` method runs the subset DP and so takes the node budget."""
+    is that variant, and `variant` names it in the method's `WrongVariantError`."""
 
     method: Callable[..., SolveResult]
     variant: str
     test: Callable[[RecampaignInstance], bool]
-    budgeted: bool = False
 
 
 def _unpriced(rule: type, bound: int | None) -> Callable[[RecampaignInstance], bool]:
@@ -962,18 +931,23 @@ def _unpriced(rule: type, bound: int | None) -> Callable[[RecampaignInstance], b
     )
 
 
+_unpriced_e2 = _unpriced(E2, None)
+
 # Keyed by `recamp solve --algorithm` value, in the order `solve_auto` tries them.
 ROUTES: dict[str, Route] = {
     "e1": Route(solve_e1_bound3, "unpriced E1 at bound 3", _unpriced(E1, 3)),
-    "e2": Route(solve_e2_unbounded, "unpriced unbounded E2", _unpriced(E2, None), True),
+    "e2": Route(
+        solve_e2_unbounded,
+        "unpriced unbounded E2 with at least 4 additional candidates",
+        lambda inst: len(inst.additional) >= 4 and _unpriced_e2(inst),
+    ),
     "bmatch": Route(
         solve_trivial_scoring,
         "the trivial scoring rule",
         lambda inst: isinstance(inst.rule, TrivialScoring),
     ),
     "crc1": Route(solve_crc1, "bound 1", lambda inst: _bound(inst) == 1),
-    "fpt": Route(solve_fpt, "bounded variants", lambda inst: _bound(inst) is not None, True),
-    "brute": Route(solve_brute, "every variant", lambda inst: True, True),
+    "brute": Route(solve_brute, "every variant", lambda inst: True),
 }
 
 
@@ -985,6 +959,9 @@ def _admit(inst: RecampaignInstance, name: str) -> None:
 
 
 def solve_auto(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
-    """Decide by the first route of `ROUTES` whose test holds."""
+    """Decide by the first route of `ROUTES` whose test holds.  The node
+    budget is checked first, whichever route decides; only `solve_brute`,
+    the one exponential route, spends it."""
+    budget = _resolve_budget(node_budget)
     route = next(route for route in ROUTES.values() if route.test(inst))
-    return route.method(inst, node_budget) if route.budgeted else route.method(inst)
+    return solve_brute(inst, budget) if route.method is solve_brute else route.method(inst)

@@ -35,11 +35,11 @@ from recamp import (
     from_winner_problem,
     is_k_winner,
     random_instance,
+    solve_auto,
     solve_brute,
     solve_crc1,
     solve_e1_bound3,
     solve_e2_unbounded,
-    solve_fpt,
     verify,
 )
 from recamp.cli import main
@@ -234,13 +234,14 @@ def test_c07_cover_solver_agrees_with_brute_and_guards():
                 priced=True,
             )
             inst = random_instance(params, seed=trial)
-            fpt = solve_fpt(inst)
-            assert fpt.answer == solve_brute(inst, node_budget=BIG).answer
+            result = solve_brute(inst, node_budget=BIG)
+            assert result.answer == placement_scan(inst)[0]
             if n > k * level:
                 guarded += 1
-                assert fpt.statistics["guard"] == 1 and not fpt.answer
+                assert result.statistics["guard"] == 1 and not result.answer
+                assert result.statistics["nodes"] == 0
             else:
-                assert fpt.statistics["guard"] == 0
+                assert result.statistics["guard"] == 0
         assert guarded >= 25
 
 
@@ -306,6 +307,8 @@ def test_c10_special_rule_solvers_agree_with_brute():
                 rule=E2(),
             )
             inst = random_instance(params, seed=trial)
-            # below four candidates solve_e2_unbounded runs the DP of
-            # solve_brute, so the referee is the scan over every placement
-            assert solve_e2_unbounded(inst).answer == placement_scan(inst)[0]
+            # from four candidates on solve_e2_unbounded's one witness, below
+            # it the DP of solve_brute; the referee is the scan over every
+            # placement
+            solve = solve_e2_unbounded if len(inst.additional) >= 4 else solve_auto
+            assert solve(inst).answer == placement_scan(inst)[0]

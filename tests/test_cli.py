@@ -1,19 +1,28 @@
 """End-to-end tests of the command-line interface, run in-process through
 `main` so exit codes and output files can be asserted exactly."""
 
+import contextlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recamp import (
+    Assignment,
     AtMost,
     Borda,
     District,
+    E2,
     ExplicitScoringFamily,
     LinearVote,
     OneInThreeSatInstance,
     Pricing,
     R3DMInstance,
+    RandomInstanceParams,
     RecampaignInstance,
     TApproval,
     TrivialScoring,
@@ -21,6 +30,7 @@ from recamp import (
     decide_x3c,
     e33dm_to_1approval,
     e33dm_to_scoring,
+    random_instance,
     r3dm_to_exactly3,
     sat_to_approval_unbounded,
     x3c_to_approval,
@@ -34,6 +44,7 @@ from recamp.formats import (
     parse_assignment,
     parse_instance,
     render_3dm,
+    render_assignment,
     render_election,
     render_instance,
     render_sat,
@@ -42,7 +53,7 @@ from recamp.formats import (
 
 from test_core import THREE_VOTES
 from test_gadgets import E33_A, SAT_YES6, X3C_NO, X3C_YES
-from test_solvers import huge_price_instance, worked_example_instance
+from test_solvers import ROUTE_RULES, huge_price_instance, worked_example_instance
 
 
 @pytest.fixture
@@ -95,18 +106,19 @@ class TestSolve:
 
     def test_fpt_guard_statistics(self, run, tmp_path):
         inst = RecampaignInstance(
-            TrivialScoring(),
+            Borda(),
             (District([]),),
             frozenset({"a", "b", "c"}),
             AtMost(2),
         )
         path = tmp_path / "guard.json"
         path.write_text(render_instance(inst))
-        code, out = run("solve", path, "--algorithm", "fpt")
-        report = json.loads(out)
-        assert code == 1
-        assert report["answer"] == "NO"
-        assert report["statistics"]["nodes"] == 0
+        for algorithm in ("auto", "brute"):
+            code, out = run("solve", path, "--algorithm", algorithm)
+            report = json.loads(out)
+            assert code == 1
+            assert (report["algorithm"], report["answer"]) == ("brute", "NO")
+            assert report["statistics"] == {"nodes": 0, "members": 0, "guard": 1}
 
     @pytest.mark.parametrize("bound", [UNBOUNDED, AtMost(2)])
     @pytest.mark.parametrize(
@@ -157,6 +169,16 @@ class TestSolve:
         assert code == 2
         assert "recamp:" in capsys.readouterr().err
 
+    def test_e2_below_four_candidates_is_usage_error(self, run, tmp_path, capsys):
+        # Below four candidates unbounded E2 is the subset DP's to decide.
+        inst = RecampaignInstance(E2(), (District([]),), frozenset("abc"), UNBOUNDED)
+        path = tmp_path / "e2.json"
+        path.write_text(render_instance(inst))
+        assert main(["solve", str(path), "--algorithm", "e2"]) == 2
+        assert "at least 4" in capsys.readouterr().err
+        code, out = run("solve", path)
+        assert (code, json.loads(out)["algorithm"]) == (0, "brute")
+
     def test_node_budget_exhaustion(self, run, tmp_path):
         inst = RecampaignInstance(
             TrivialScoring(),
@@ -187,10 +209,10 @@ class TestSolve:
         gen = ("gen", "-k", 4, "-n", 9, "--rule", "borda", "--bound", 3, "-o", path)
         assert run(*gen)[0] == 0
         assert run("solve", path, "--node-budget", 1)[0] == 3
-        assert run("solve", path, "--algorithm", "fpt", "--node-budget", 1)[0] == 3
+        assert run("solve", path, "--algorithm", "brute", "--node-budget", 1)[0] == 3
         monkeypatch.setenv("RECAMP_NODE_BUDGET", "1")
         assert run("solve", path)[0] == 3
-        assert run("solve", path, "--algorithm", "fpt")[0] == 3
+        assert run("solve", path, "--algorithm", "brute")[0] == 3
 
     def test_unreadable_file(self, run, tmp_path):
         code, _ = run("solve", tmp_path / "absent.json")
@@ -204,6 +226,17 @@ class TestSolve:
 
 
 class TestOracleAndVerify:
+    def test_guard_answers_past_63_candidates(self, run, tmp_path):
+        # 70 candidates, two districts of at most 2 winners: NO by the
+        # n > k·ℓ guard, before the 63-bit refusal would exit 3.
+        arrivals = frozenset(f"a{j:02d}" for j in range(70))
+        inst = RecampaignInstance(TApproval(1), (District([]),) * 2, arrivals, AtMost(2))
+        path = tmp_path / "wide.json"
+        path.write_text(render_instance(inst))
+        code, out = run("oracle", path)
+        assert code == 1
+        assert json.loads(out)["statistics"] == {"nodes": 0, "members": 0, "guard": 1}
+
     def test_solution_pipes_back_through_verify(self, run, tmp_path, worked_example_file):
         asg_path = tmp_path / "asg.json"
         code, _ = run(
@@ -591,5 +624,76 @@ def test_x3c_solve_route_matches_decider(run, tmp_path):
         src_path.write_text(render_x3c(src))
         out_path = tmp_path / "inst.json"
         run("reduce", src_path, "--from", "x3c", "--to", "e1priced", "-o", out_path)
-        code, _ = run("solve", out_path, "--algorithm", "fpt")
+        code, _ = run("solve", out_path, "--algorithm", "brute")
         assert (code == 0) == decide_x3c(src)
+
+
+class _Pairs(list):
+    """A JSON object as its list of (key, value) pairs, so that a key can
+    appear twice."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return json.dumps(value)
+
+
+def _fields(value):
+    """Every (container, index) of a document: each field of an object and
+    each item of an array, at every depth."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield value, i
+            yield from _fields(item[1] if isinstance(value, _Pairs) else item)
+
+
+_ATOMS = [2**63, -1, True, False, None, float("nan"), "", [], {}, 10**30, 1.5]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    field=st.integers(min_value=0, max_value=10**6),
+    how=st.integers(min_value=0, max_value=len(_ATOMS) + 1),
+    in_assignment=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_files_exit_0_to_3(seed, field, how, in_assignment):
+    """A rendered instance or assignment with one field deleted, duplicated
+    (an object's key then appears twice) or replaced by an atom: `solve`,
+    `oracle` and `verify` each exit 0-3 and raise nothing."""
+    rng = random.Random(seed)
+    params = RandomInstanceParams(
+        districts=rng.randint(1, 3),
+        additional=rng.randint(0, 4),
+        rule=rng.choice(ROUTE_RULES),
+        bound=rng.choice([AtMost(1), AtMost(2), AtMost(3), UNBOUNDED]),
+        priced=bool(rng.getrandbits(1)),
+    )
+    inst = random_instance(params, seed)
+    texts = [
+        render_instance(inst),
+        render_assignment(Assignment(dict.fromkeys(inst.additional, 1))),
+    ]
+    doc = json.loads(texts[in_assignment], object_pairs_hook=_Pairs)
+    fields = list(_fields(doc))
+    container, i = fields[field % len(fields)]
+    if how == 0:
+        del container[i]
+    elif how == 1:
+        container.insert(i, container[i])
+    else:
+        atom = _ATOMS[how - 2]
+        container[i] = (container[i][0], atom) if isinstance(container, _Pairs) else atom
+    texts[in_assignment] = _dump(doc)
+    with tempfile.TemporaryDirectory() as work:
+        inst_path, asg_path = Path(work, "inst.json"), Path(work, "asg.json")
+        inst_path.write_text(texts[0])
+        asg_path.write_text(texts[1])
+        quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
+        for argv in (["solve", inst_path], ["oracle", inst_path], ["verify", inst_path, asg_path]):
+            with quiet[0], quiet[1]:
+                code = main([str(a) for a in argv])
+            assert code in (0, 1, 2, 3), (argv[0], texts[in_assignment])

@@ -54,7 +54,6 @@ from recamp import (
     solve_crc1,
     solve_e1_bound3,
     solve_e2_unbounded,
-    solve_fpt,
     solve_trivial_scoring,
     verify,
     winners,
@@ -321,16 +320,33 @@ class TestExactCoverSystem:
 
 
 class TestSolveFpt:
+    """The bounded variants, FPT in |A|: `solve_brute`'s DP behind its
+    n > k·ℓ guard, asking only about the sets of at most ℓ candidates."""
+
     def test_guard_rejects_oversized_additional_sets(self):
         d = District([], [])
         inst = RecampaignInstance(
             TrivialScoring(), (d,), frozenset({"a", "b", "c"}), AtMost(2)
         )
-        result = solve_fpt(inst)
+        result = solve_brute(inst)
         assert not result.answer
         assert result.statistics["guard"] == 1
         assert result.statistics["nodes"] == 0
         assert result.statistics["members"] == 0
+
+    def test_guard_answers_before_the_refusals(self):
+        # 70 candidates and two districts of at most 2 winners: a NO with
+        # no work, before the 63-bit refusal, the table-rows admission at a
+        # budget of 1 and the probe of a family that lists one vector.
+        arrivals = frozenset(f"a{j:02d}" for j in range(70))
+        base = RecampaignInstance(TApproval(1), (District([]),) * 2, arrivals, AtMost(2))
+        for inst in (base, dataclasses.replace(base, rule=ExplicitScoringFamily([[1]]))):
+            result = checked(inst, solve_brute(inst, node_budget=1))
+            assert (result.algorithm, result.answer) == ("brute", False)
+            assert result.statistics == {"nodes": 0, "members": 0, "guard": 1}
+            assert solve_auto(inst).statistics == result.statistics
+        with pytest.raises(ResourceBudgetError, match="63"):
+            solve_brute(dataclasses.replace(base, bound=AtMost(35)))
 
     def test_system_size_bounds(self):
         rng = random.Random(11)
@@ -354,8 +370,8 @@ class TestSolveFpt:
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, seed):
         # n reaches k·ℓ, where the layers are pruned to the sets that leave
-        # at most ℓ candidates per district to come.  Within the guard fpt
-        # and brute are one engine: the same witness, cost and work.
+        # at most ℓ candidates per district to come; within it the guard
+        # never answers.
         rng = random.Random(seed)
         rule = rng.choice([TApproval(1), TApproval(2), Borda(), Condorcet(), E1()])
         k = rng.randint(1, 3)
@@ -368,12 +384,9 @@ class TestSolveFpt:
             priced=bool(rng.getrandbits(1)),
         )
         inst = random_instance(params, seed)
-        fpt = checked(inst, solve_fpt(inst))
-        brute = checked(inst, solve_brute(inst))
-        assert fpt.answer == brute.answer == placement_scan(inst)[0]
-        assert fpt.statistics["guard"] == 0
-        same = (brute.assignment, brute.cost, brute.statistics["nodes"])
-        assert (fpt.assignment, fpt.cost, fpt.statistics["nodes"]) == same
+        result = checked(inst, solve_brute(inst))
+        assert result.answer == placement_scan(inst)[0]
+        assert result.statistics["guard"] == 0
 
     @staticmethod
     def _x3c_gadget(planted):
@@ -397,17 +410,15 @@ class TestSolveFpt:
     ):
         # k^n is far past the node budget, but the DP's tables have at most
         # 6·Σ_{s≤3} C(15, s) = 3,456 rows bounded and 6·2^15 = 196,608
-        # unbounded, and brute decides both, bounded with fpt's answer.  The
-        # work is pinned: sharing the oracle's inputs across tables and the
-        # one-block forward step change no row asked and no pair tried.
+        # unbounded, and brute decides both.  The work is pinned: sharing
+        # the oracle's inputs across tables and the one-block forward step
+        # change no row asked and no pair tried.
         src, inst = self._x3c_gadget(planted)
         assert (inst.k, len(inst.additional)) == (7, 15)
-        result = checked(inst, solve_fpt(inst))
-        assert result.answer == decide_x3c(src) == planted
+        result = checked(inst, solve_auto(inst))
+        assert (result.algorithm, result.answer) == ("brute", planted)
+        assert result.answer == decide_x3c(src)
         assert result.statistics["nodes"] == nodes
-        brute = checked(inst, solve_brute(inst))
-        same = (result.assignment, result.cost, result.statistics["nodes"])
-        assert (brute.assignment, brute.cost, brute.statistics["nodes"]) == same
         unbounded = dataclasses.replace(inst, bound=UNBOUNDED)
         result = checked(unbounded, solve_auto(unbounded))
         assert (result.algorithm, result.answer) == ("brute", planted)
@@ -424,7 +435,7 @@ class TestSolveFpt:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_CHUNK_ROWS", chunk)
             mp.setattr(solvers, "_masks", lambda *args: calls.append(args) or masks(*args))
-            result = checked(inst, solve_fpt(inst))
+            result = checked(inst, solve_brute(inst))
             enumerated = len(calls)
             dp = solvers._PlacementDP(inst, sorted(inst.additional))
             dp.placement()
@@ -443,17 +454,16 @@ class TestSolveFpt:
         ]
         src = X3CInstance([f"u{i:02d}" for i in range(1, 13)], triples)
         inst = x3c_to_veto(src, 1, AtMost(3))
-        result = checked(inst, solve_fpt(inst))
+        result = checked(inst, solve_brute(inst))
         assert result.answer is decide_x3c(src) is False
         assert result.statistics["nodes"] == 1513
 
     def test_probes_explicit_vectors_up_to_the_bound(self):
         # Vectors for 1 and 2 candidates only.  Under bound 2 no empty
-        # district holds 3, so fpt and brute decide; unbounded, brute
-        # probes up to |A| and reports the missing vector.
+        # district holds 3, so brute decides; unbounded, it probes up to
+        # |A| and reports the missing vector.
         rule = ExplicitScoringFamily([[1], [1, 0]])
         inst = RecampaignInstance(rule, (District([]),) * 3, frozenset("abc"), AtMost(2))
-        assert checked(inst, solve_fpt(inst)).answer
         assert checked(inst, solve_brute(inst)).answer
         with pytest.raises(MissingVectorError):
             solve_brute(dataclasses.replace(inst, bound=UNBOUNDED))
@@ -463,8 +473,8 @@ class TestSolveFpt:
             rule, (District([]), District(["x"])), frozenset("ab"), AtMost(2)
         )
         with pytest.raises(MissingVectorError):
-            solve_fpt(inst)
-        assert not checked(inst, solve_fpt(dataclasses.replace(inst, bound=AtMost(1)))).answer
+            solve_brute(inst)
+        assert not checked(inst, solve_brute(dataclasses.replace(inst, bound=AtMost(1)))).answer
 
     def test_an_empty_layer_answers_no(self):
         # Bound 1, three candidates, three districts: layer 1 keeps only
@@ -478,7 +488,7 @@ class TestSolveFpt:
         dp = solvers._PlacementDP(inst, ["a", "b", "c"])
         assert dp.placement() is None
         assert len(dp.sets) == 1 and len(dp.fwd[1][0]) == 0
-        assert checked(inst, solve_fpt(inst)).answer is placement_scan(inst)[0] is False
+        assert checked(inst, solve_brute(inst)).answer is placement_scan(inst)[0] is False
 
     def test_past_63_candidates_is_refused(self):
         # 40 vote-less 1-approval districts take any two of 64 candidates
@@ -486,7 +496,7 @@ class TestSolveFpt:
         arrivals = frozenset(f"a{j:02d}" for j in range(64))
         inst = RecampaignInstance(TApproval(1), (District([]),) * 40, arrivals, AtMost(2))
         with pytest.raises(ResourceBudgetError, match="63"):
-            solve_fpt(inst)
+            solve_auto(inst)
         with pytest.raises(ResourceBudgetError, match="63"):
             solve_brute(inst, node_budget=40**64)
 
@@ -508,11 +518,6 @@ class TestSolveFpt:
         system = build_exact_cover_system(inst)
         assert exact_cover_scan(system) == solve_brute(inst).answer
 
-    def test_unbounded_rejected(self):
-        inst = RecampaignInstance(Borda(), (District([]),), frozenset(), UNBOUNDED)
-        with pytest.raises(WrongVariantError):
-            solve_fpt(inst)
-
     def test_node_budget(self):
         # Condorcet over empty, vote-less districts accepts only singletons.
         # With two districts the DP's one table has 8 rows, admitted from a
@@ -523,12 +528,12 @@ class TestSolveFpt:
             Condorcet(), (District([]), District([])), frozenset("abc"), AtMost(3)
         )
         with pytest.raises(ResourceBudgetError, match="^8 table rows exceed the node budget 7$"):
-            solve_fpt(two, node_budget=7)
+            solve_brute(two, node_budget=7)
         with pytest.raises(ResourceBudgetError, match="^8 table rows"):
             solve_auto(two, node_budget=7)
         with pytest.raises(ResourceBudgetError, match="work passed the node budget 11"):
-            solve_fpt(two, node_budget=11)
-        result = checked(two, solve_fpt(two, node_budget=12))
+            solve_brute(two, node_budget=11)
+        result = checked(two, solve_brute(two, node_budget=12))
         assert not result.answer
         assert result.statistics == {"nodes": 12, "members": 4, "guard": 0}
         # Three districts: 2·8 table rows up front.  The DP asks 8 + 8 oracle
@@ -536,11 +541,11 @@ class TestSolveFpt:
         # the last district about their 7 complements: 39 units of work.
         three = dataclasses.replace(two, districts=(District([]),) * 3)
         with pytest.raises(ResourceBudgetError, match="^16 table rows exceed the node budget 15$"):
-            solve_fpt(three, node_budget=15)
+            solve_brute(three, node_budget=15)
         for budget in (16, 30, 38):
             with pytest.raises(ResourceBudgetError, match="work passed the node budget"):
-                solve_fpt(three, node_budget=budget)
-        result = checked(three, solve_fpt(three, node_budget=39))
+                solve_brute(three, node_budget=budget)
+        result = checked(three, solve_brute(three, node_budget=39))
         assert result.answer
         assert result.statistics == {"nodes": 39, "members": 8, "guard": 0}
         assert sorted(result.assignment.placement.values()) == [1, 2, 3]
@@ -758,7 +763,7 @@ class TestSolveBrute:
         inst = RecampaignInstance(Borda(), (District(["a"]),), frozenset(), UNBOUNDED)
         result = checked(inst, solve_brute(inst))
         assert result.answer
-        assert result.statistics == {"nodes": 1, "members": 0}
+        assert result.statistics == {"nodes": 0, "members": 0, "guard": 0}  # no row asked
 
     def test_one_district_needs_no_table(self):
         # (k-1)·2^n = 0 table rows and one unit of work, within the least
@@ -766,7 +771,29 @@ class TestSolveBrute:
         arrivals = frozenset(f"a{j}" for j in range(40))
         inst = RecampaignInstance(TrivialScoring(), (District([]),), arrivals, UNBOUNDED)
         result = checked(inst, solve_brute(inst, node_budget=1))
-        assert result.statistics == {"nodes": 1, "members": 0}
+        assert result.statistics == {"nodes": 1, "members": 0, "guard": 0}
+
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_one_district_matches_placement_scan(self, seed):
+        """One district takes all of A or nothing: the forward pass is
+        empty and the last district is asked about A once, as a Python int
+        past 63 candidates, under every bound, priced or not."""
+        rng = random.Random(seed)
+        n = rng.choice([rng.randint(0, 5), rng.randint(60, 70)])
+        bound = rng.choice([AtMost(1), AtMost(2), AtMost(3), AtMost(max(1, n)), UNBOUNDED])
+        params = RandomInstanceParams(
+            districts=1,
+            additional=n,
+            rule=_random_rule(rng, n + 3),
+            max_votes=rng.randint(0, 3),
+            bound=bound,
+            priced=bool(rng.getrandbits(1)),
+        )
+        inst = random_instance(params, seed)
+        result = checked(inst, solve_brute(inst, node_budget=1))
+        assert result.answer == placement_scan(inst)[0]
+        assert result.statistics["nodes"] <= 1
 
     def test_single_placement_failure(self):
         e = Election(["a", "b"], [LinearVote(["b", "a"]), LinearVote(["b", "a"])])
@@ -800,7 +827,7 @@ class TestSolveBrute:
             solve_brute(inst, node_budget=11)
         result = checked(inst, solve_brute(inst, node_budget=12))
         assert result.assignment.placement == {"a": 1, "b": 2}
-        assert result.statistics == {"nodes": 12, "members": 4}
+        assert result.statistics == {"nodes": 12, "members": 4, "guard": 0}
 
     def test_last_district_takes_the_complement(self):
         # Only district 1 takes a, only district 3 takes b, and district 2
@@ -817,7 +844,7 @@ class TestSolveBrute:
         # Two tables of 4 rows, 2·1 pairs and 2 complements asked: 12 units.
         result = checked(inst, solve_brute(inst))
         assert result.assignment.placement == {"a": 1, "b": 3}
-        assert result.statistics == {"nodes": 12, "members": 3}
+        assert result.statistics == {"nodes": 12, "members": 3, "guard": 0}
 
     @pytest.mark.parametrize("chunk", [4, 1 << 14])
     def test_priced_read_back_keeps_to_the_budget(self, chunk):
@@ -876,7 +903,8 @@ class TestSolveBrute:
         )
         result = checked(inst, solve_brute(inst))
         assert result.assignment.placement == {"a": k, "b": k}
-        assert result.statistics == {"nodes": 4 * (k - 1) + (k - 2) + 1, "members": k - 1}
+        nodes = 4 * (k - 1) + (k - 2) + 1
+        assert result.statistics == {"nodes": nodes, "members": k - 1, "guard": 0}
 
     @staticmethod
     def _dense(priced):
@@ -902,7 +930,8 @@ class TestSolveBrute:
         finally:
             tracemalloc.stop()
         assert not result.answer
-        assert result.statistics == {"nodes": 2 * 4095 + 8_420_278, "members": 2 * 4095}
+        nodes = 2 * 4095 + 8_420_278
+        assert result.statistics == {"nodes": nodes, "members": 2 * 4095, "guard": 0}
         assert peak < 16 * 2**20
 
     def test_dense_yes_stops_at_the_first_layer(self):
@@ -914,7 +943,7 @@ class TestSolveBrute:
         priced = dataclasses.replace(priced, pricing=Pricing(priced.pricing.prices, 12))
         for inst, cost in ((plain, None), (priced, 12)):
             result = checked(inst, solve_brute(inst))
-            assert result.statistics == {"nodes": 2**12, "members": 2**12}
+            assert result.statistics == {"nodes": 2**12, "members": 2**12, "guard": 0}
             assert set(result.assignment.placement.values()) == {1}
             assert result.cost == cost
 
@@ -956,14 +985,9 @@ class TestSolveBrute:
             result = checked(inst, solve_brute(inst))
             dp = solvers._PlacementDP(inst, sorted(inst.additional))
             dp.placement()
-            if inst.bound != UNBOUNDED:
-                fpt = checked(inst, solve_fpt(inst))
-                if not fpt.statistics["guard"]:
-                    assert fpt.statistics == {**result.statistics, "guard": 0}
-                assert fpt.answer == result.answer
         assert result.answer == placement_scan(inst)[0]
         members = sum(len(masks) for masks, _ in dp.sets)
-        assert result.statistics == {"nodes": dp.work, "members": members}
+        assert result.statistics == {"nodes": dp.work, "members": members, "guard": int(dp.guard)}
         if result.answer and inst.pricing is not None:
             assert result.cost <= inst.pricing.budget
 
@@ -1018,7 +1042,6 @@ class TestPricesBeyondInt64:
     ROUTES = [
         (solve_brute, UNBOUNDED),
         (solve_brute, AtMost(2)),
-        (solve_fpt, AtMost(2)),
         (solve_auto, UNBOUNDED),
         (solve_auto, AtMost(2)),
     ]
@@ -1141,16 +1164,20 @@ class TestSolveE2Unbounded:
         assert set(result.assignment.placement.values()) == {1}
 
     def test_single_arrival_blocked_by_incumbent(self):
+        # Below four arrivals E2 is the subset DP's.
         d = District(["b"], [LinearVote(["b", "a"]), LinearVote(["b", "a"])])
         inst = RecampaignInstance(E2(), (d,), frozenset({"a"}), UNBOUNDED)
-        assert not checked(inst, solve_e2_unbounded(inst)).answer
+        result = checked(inst, solve_auto(inst))
+        assert (result.algorithm, result.answer) == ("brute", False)
 
     def test_wrong_variant_rejected(self):
-        inst = RecampaignInstance(E2(), (District([]),), frozenset({"a"}), UNBOUNDED)
+        inst = RecampaignInstance(E2(), (District([]),), frozenset("abcd"), UNBOUNDED)
         with pytest.raises(WrongVariantError):
             solve_e2_unbounded(dataclasses.replace(inst, bound=AtMost(3)))
         with pytest.raises(WrongVariantError):
             solve_e2_unbounded(dataclasses.replace(inst, rule=E1()))
+        with pytest.raises(WrongVariantError, match="at least 4"):
+            solve_e2_unbounded(dataclasses.replace(inst, additional=frozenset("abc")))
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
@@ -1163,7 +1190,8 @@ class TestSolveE2Unbounded:
             bound=UNBOUNDED,
         )
         inst = random_instance(params, seed)
-        answer = checked(inst, solve_e2_unbounded(inst)).answer
+        solve = solve_e2_unbounded if len(inst.additional) >= 4 else solve_auto
+        answer = checked(inst, solve(inst)).answer
         assert answer == solve_brute(inst).answer == placement_scan(inst)[0]
 
     def test_no_takes_work_linear_in_k(self):
@@ -1175,12 +1203,11 @@ class TestSolveE2Unbounded:
             District([f"c{i}"], [LinearVote([f"c{i}", "a1", "a2"])]) for i in range(80)
         )
         inst = RecampaignInstance(E2(), districts, frozenset({"a1", "a2"}), UNBOUNDED)
-        result = checked(inst, solve_e2_unbounded(inst))
-        assert (result.algorithm, result.answer) == ("e2-unbounded", False)
+        result = checked(inst, solve_auto(inst))
+        assert (result.algorithm, result.answer) == ("brute", False)
         assert result.statistics["nodes"] <= 20 * inst.k
         with pytest.raises(ResourceBudgetError):
-            solve_e2_unbounded(inst, node_budget=inst.k)
-        assert ROUTES["e2"].budgeted
+            solve_auto(inst, node_budget=inst.k)
 
 
 class TestSolveAuto:
@@ -1203,14 +1230,16 @@ class TestSolveAuto:
         assert solve_auto(inst).algorithm == "e1-bound3"
 
     def test_e2_special_case(self):
-        inst = RecampaignInstance(E2(), (District([]),), frozenset({"a"}), UNBOUNDED)
+        inst = RecampaignInstance(E2(), (District([]),), frozenset("abcd"), UNBOUNDED)
         assert solve_auto(inst).algorithm == "e2-unbounded"
+        fewer = dataclasses.replace(inst, additional=frozenset("abc"))
+        assert solve_auto(fewer).algorithm == "brute"
 
-    def test_bounded_routes_to_fpt(self):
+    def test_bounded_routes_to_brute(self):
         inst = RecampaignInstance(
             Borda(), (District([]), District([])), frozenset({"a"}), AtMost(2)
         )
-        assert solve_auto(inst).algorithm == "fpt"
+        assert solve_auto(inst).algorithm == "brute"
 
     def test_propagates_budget_errors(self):
         inst = RecampaignInstance(
@@ -1267,7 +1296,7 @@ ROUTE_RULES = [
 
 class TestRouteTable:
     def test_solve_auto_order(self):
-        assert list(ROUTES) == ["e1", "e2", "bmatch", "crc1", "fpt", "brute"]
+        assert list(ROUTES) == ["e1", "e2", "bmatch", "crc1", "brute"]
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=150, deadline=None)
@@ -1331,6 +1360,28 @@ def test_counts_and_budgets_must_be_ints(call):
     of 1 or a one-candidate election."""
     with pytest.raises(ShapeError):
         call()
+
+
+# One instance that `solve_auto` sends down each route.
+ROUTE_PROBES = {
+    "e1-bound3": RecampaignInstance(E1(), (District([]),), frozenset("abc"), AtMost(3)),
+    "e2-unbounded": RecampaignInstance(E2(), (District([]),), frozenset("abcd"), UNBOUNDED),
+    "b-matching": worked_example_instance(),
+    "crc1-matching": RecampaignInstance(Condorcet(), (District([]),), frozenset("a"), AtMost(1)),
+    "brute": _PROBE,
+}
+
+
+@pytest.mark.parametrize("algorithm", list(ROUTE_PROBES))
+def test_node_budget_is_checked_on_every_route(algorithm):
+    """`solve_auto` checks the node budget before routing, so a bad budget
+    is a usage error whichever route would decide, not only on the DP's."""
+    inst = ROUTE_PROBES[algorithm]
+    assert solve_auto(inst).algorithm == algorithm
+    assert solve_auto(inst, node_budget=1000).algorithm == algorithm
+    for budget in (0, -5, "x", True, 2.5):
+        with pytest.raises(ShapeError, match="node budget"):
+            solve_auto(inst, node_budget=budget)
 
 
 def test_cross_validate_script_agrees():
