@@ -91,13 +91,6 @@ def recast(inst, times):
     return dataclasses.replace(inst, districts=districts)
 
 
-def decide(route, inst, node_budget):
-    """Only `solve_brute` spends the node budget."""
-    if route.method is solve_brute:
-        return solve_brute(inst, node_budget=node_budget)
-    return route.method(inst)
-
-
 def run(args: argparse.Namespace) -> int:
     import random
 
@@ -126,7 +119,7 @@ def run(args: argparse.Namespace) -> int:
             for route_name, route in ROUTES.items():
                 if route.test(inst):
                     t1 = time.perf_counter()
-                    results[route_name] = decide(route, inst, args.node_budget)
+                    results[route_name] = route.method(inst, node_budget=args.node_budget)
                     route_time[route_name] += time.perf_counter() - t1
                     decided[route_name] += 1
             scan, best_cost = placement_scan(inst)

@@ -3,13 +3,12 @@
 Subcommands: solve, verify, reduce, oracle, gen, winners.  Exit codes are
 uniform across commands: 0 for yes/ok, 1 for no/invalid, 2 for usage, parse,
 or precondition problems, 3 when an enumeration would exceed the node budget,
-whether it refuses to start or stops partway (RECAMP_NODE_BUDGET overrides
-the default).
+whether it refuses to start or stops partway.
 
-`solve --algorithm` takes `auto` or a route of `solvers.ROUTES`; only `auto`
-and `brute` take `--node-budget`, since the DP of `brute` is the one route
-that spends it.  `reduce --from --to` takes a pair of `_REDUCTIONS`, and
-`_SOURCES` parses its source.
+`solve --algorithm` takes `auto` or a route of `solvers.ROUTES`, and every
+one takes `--node-budget`: each route refuses a budget below 1 (exit 2), and
+the DP of `brute` is the one that spends it.  `reduce --from --to` takes a
+pair of `_REDUCTIONS`, and `_SOURCES` parses its source.
 """
 
 from __future__ import annotations
@@ -86,12 +85,8 @@ def _report(result: SolveResult, elapsed: float) -> dict[str, Any]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     """`solve`, and `oracle` as `solve --algorithm brute`."""
     inst = formats.parse_instance(_read(args.instance))
-    solver = _SOLVERS[args.algorithm]
     start = time.perf_counter()
-    if args.algorithm in ("auto", "brute"):
-        result = solver(inst, args.node_budget)
-    else:
-        result = solver(inst)
+    result = _SOLVERS[args.algorithm](inst, args.node_budget)
     elapsed = time.perf_counter() - start
     sys.stdout.write(formats.dumps(_report(result, elapsed)))
     if result.answer and args.assignment_out:

@@ -446,18 +446,11 @@ def e33dm_to_1approval(src: Exactly3ThreeDMInstance) -> RecampaignInstance:
 
     Every additional candidate pool is W ∪ X; a district's ballots are built
     so that a pair {a, b} placed there ties (and wins within the bound)
-    exactly when (a, b, y) is one of its three triples.
+    exactly when (a, b, y) is one of its three triples.  It is
+    `e33dm_to_scoring` under 1-approval, whose vector (1, 0) needs no filler
+    candidate and no extra ballot block.
     """
-    if src.k == 0:
-        raise PreconditionError("needs at least one element per side")
-    extra = frozenset(src.w_side) | frozenset(src.x_side)
-    districts = []
-    for y in sorted(src.y_side):
-        votes = tuple(
-            LinearVote(order) for order in _district_base_orders(src, y, extra)
-        )
-        districts.append(District(frozenset(), votes))
-    return RecampaignInstance(TApproval(1), tuple(districts), extra, AtMost(2))
+    return e33dm_to_scoring(src, TApproval(1))
 
 
 def find_nontrivial_vector(rule, cap: int = 64) -> tuple[int, int]:

@@ -38,14 +38,14 @@ Python ints.  Prices enter int64 clipped to budget + 1, since a price above
 the budget is never paid.  The DP holds the node budget, the only one the
 routes spend: it refuses up front when the oracle rows its tables can ask
 exceed the budget, and stops once its work, the oracle rows asked plus the
-disjoint pairs tried, exceeds it; that work is its `nodes`.
+disjoint pairs tried, exceeds it; that work is its `nodes`.  Every method
+takes the budget and checks it alike, in `_admit`, before the variant.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -84,7 +84,6 @@ __all__ = [
     "SolveResult",
     "CoverMember",
     "CoverSystem",
-    "default_node_budget",
     "solve_crc1",
     "solve_trivial_scoring",
     "build_exact_cover_system",
@@ -98,22 +97,10 @@ _DEFAULT_NODE_BUDGET = 10_000_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def default_node_budget() -> int:
-    """The enumeration budget, overridable via RECAMP_NODE_BUDGET."""
-    raw = os.environ.get("RECAMP_NODE_BUDGET")
-    if raw is None:
-        return _DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ShapeError(f"RECAMP_NODE_BUDGET must be an int, got {raw!r}") from exc
-    if value < 1:
-        raise ShapeError(f"RECAMP_NODE_BUDGET must be >= 1, got {value}")
-    return value
-
-
 def _resolve_budget(node_budget: int | None) -> int:
-    budget = node_budget if node_budget is not None else default_node_budget()
+    """The node budget, `_DEFAULT_NODE_BUDGET` when None; anything but an
+    int ≥ 1 is a `ShapeError`."""
+    budget = _DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if not is_int(budget) or budget < 1:
         raise ShapeError(f"node budget must be an int >= 1, got {budget!r}")
     return budget
@@ -368,7 +355,7 @@ class _Batch:
         """(ones, size) as the scoring kernel ranks them for a district of
         `own` candidates: the presence rows in an unsigned type that holds
         a rank, with absent columns padded on to whole 64-bit words, and
-        the set sizes, 0 in the pad."""
+        the set sizes, 0 in the pad, in intp: own + |S| can pass a byte."""
         if self._lanes is None:
             present = self.present(self.own)
             rank = np.min_scalar_type(len(present))
@@ -377,7 +364,7 @@ class _Batch:
             self._lanes[:, : len(self.masks)] = present
             self._lanes.flags.writeable = False
         size = np.zeros(self._lanes.shape[1], dtype=np.intp)
-        size[: len(self.masks)] = self.pop + own
+        size[: len(self.masks)] = self.pop.astype(np.intp) + own
         return self._lanes[self.own - own :], size
 
 
@@ -429,7 +416,7 @@ def _accepts(inst: RecampaignInstance, d: int, order: list[str], batch: _Batch) 
 # ---------------------------------------------------------------------------
 
 
-def solve_crc1(inst: RecampaignInstance) -> SolveResult:
+def solve_crc1(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
     """Decide the bound-1 variant by min-cost maximum matching.
 
     A candidate can be sent to a district iff it would be the unique winner
@@ -439,7 +426,7 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
     singletons 63 candidates (the bits of an int64 mask) at a time, every
     district reading one batch of them.
     """
-    _admit(inst, "crc1")
+    _admit(inst, "crc1", node_budget)
     order = sorted(inst.additional)
     alone = np.zeros((inst.k, len(order)), dtype=bool)
     own = max(len(d.candidates) for d in inst.districts)
@@ -475,7 +462,7 @@ def solve_crc1(inst: RecampaignInstance) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
+def solve_trivial_scoring(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
     """Decide any variant under the trivial scoring rule via b-matching.
 
     Everybody always wins, so only the winner-count condition bites: a
@@ -484,7 +471,7 @@ def solve_trivial_scoring(inst: RecampaignInstance) -> SolveResult:
     vacuous.  Placing cheaply is a minimum-weight perfect b-matching where a
     slack vertex absorbs the unused district capacity.
     """
-    _admit(inst, "bmatch")
+    _admit(inst, "bmatch", node_budget)
     order = sorted(inst.additional)
     n = len(order)
     level = _bound(inst) or n + max(len(d.candidates) for d in inst.districts)
@@ -773,9 +760,7 @@ class _PlacementDP:
         raise AssertionError(f"no set of district {c} completes mask {mask}")
 
 
-def solve_brute(
-    inst: RecampaignInstance, node_budget: int | None = None
-) -> SolveResult:
+def solve_brute(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
     """Decide any variant exactly by a subset DP over the verdict tables.
 
     District i's table holds the sets of additional candidates it accepts.
@@ -791,7 +776,7 @@ def solve_brute(
     `nodes` is its work, `members` the accepted sets in the tables it built.
     """
     order = sorted(inst.additional)
-    dp = _PlacementDP(inst, order, _resolve_budget(node_budget))
+    dp = _PlacementDP(inst, order, _admit(inst, "brute", node_budget))
     districts = dp.placement()
     stats = {
         "nodes": dp.work,
@@ -869,7 +854,7 @@ def build_exact_cover_system(inst: RecampaignInstance) -> CoverSystem:
 # ---------------------------------------------------------------------------
 
 
-def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
+def solve_e1_bound3(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
     """E1 with bound 3, unpriced: pure counting.
 
     A district elects its slate iff it ends up with exactly 3 candidates, so
@@ -878,7 +863,7 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     feasible sum of those capacities.  Each pair of 1-room and 2-room takes
     fixes the 3-room take, so the search is quadratic in k.
     """
-    _admit(inst, "e1")
+    _admit(inst, "e1", node_budget)
     n = len(inst.additional)
     hosts: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for i, d in enumerate(inst.districts, start=1):
@@ -898,14 +883,14 @@ def solve_e1_bound3(inst: RecampaignInstance) -> SolveResult:
     return _reject("e1-bound3", {"nodes": scanned})
 
 
-def solve_e2_unbounded(inst: RecampaignInstance) -> SolveResult:
+def solve_e2_unbounded(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
     """E2 unbounded, unpriced, with |A| ≥ 4: one witness.
 
     Dumping everybody into district 1 always works: E2 elects the whole
     slate at ≥ 4 candidates.  Fewer candidates are `solve_brute`'s, whose
     tables then hold at most 2³ sets each, so its work is linear in k.
     """
-    _admit(inst, "e2")
+    _admit(inst, "e2", node_budget)
     return _accept(inst, dict.fromkeys(sorted(inst.additional), 1), "e2-unbounded", {"nodes": 1})
 
 
@@ -951,17 +936,19 @@ ROUTES: dict[str, Route] = {
 }
 
 
-def _admit(inst: RecampaignInstance, name: str) -> None:
-    """Refuse an instance that route `name` does not decide."""
+def _admit(inst: RecampaignInstance, name: str, node_budget: int | None) -> int:
+    """The node budget, checked first, then a refusal of an instance that
+    route `name` does not decide; every route checks both alike."""
+    budget = _resolve_budget(node_budget)
     route = ROUTES[name]
     if not route.test(inst):
         raise WrongVariantError(f"{route.method.__name__} decides only {route.variant}")
+    return budget
 
 
 def solve_auto(inst: RecampaignInstance, node_budget: int | None = None) -> SolveResult:
-    """Decide by the first route of `ROUTES` whose test holds.  The node
-    budget is checked first, whichever route decides; only `solve_brute`,
+    """Decide by the first route of `ROUTES` whose test holds, passing it
+    the node budget; every route checks the budget, and only `solve_brute`,
     the one exponential route, spends it."""
-    budget = _resolve_budget(node_budget)
     route = next(route for route in ROUTES.values() if route.test(inst))
-    return solve_brute(inst, budget) if route.method is solve_brute else route.method(inst)
+    return route.method(inst, node_budget)

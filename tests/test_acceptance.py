@@ -171,6 +171,9 @@ def test_c04_exactly3_matching_reductions_preserve_decisions():
             want = decide_3dm(src)
             yes += want
             no += not want
+            # the 1-approval gadget is the scoring gadget under 1-approval
+            plain = render_instance(e33dm_to_1approval(src))
+            assert plain == render_instance(e33dm_to_scoring(src, TApproval(1)))
             for target in (e33dm_to_1approval(src), e33dm_to_scoring(src, Borda())):
                 _assert_pair_winner_lemma(src, target)
                 assert solve_brute(target, node_budget=BIG).answer == want

@@ -50,10 +50,11 @@ from recamp.formats import (
     render_sat,
     render_x3c,
 )
+from recamp.solvers import ROUTES
 
 from test_core import THREE_VOTES
 from test_gadgets import E33_A, SAT_YES6, X3C_NO, X3C_YES
-from test_solvers import ROUTE_RULES, huge_price_instance, worked_example_instance
+from test_solvers import ROUTE_PROBES, ROUTE_RULES, huge_price_instance, worked_example_instance
 
 
 @pytest.fixture
@@ -191,28 +192,29 @@ class TestSolve:
         code, _ = run("solve", path, "--algorithm", "brute", "--node-budget", 10)
         assert code == 3
 
-    def test_env_budget_override(self, run, tmp_path, monkeypatch):
-        inst = RecampaignInstance(
-            TrivialScoring(),
-            tuple(District([]) for _ in range(10)),
-            frozenset(f"a{j}" for j in range(9)),
-            AtMost(9),
-        )
-        path = tmp_path / "huge.json"
-        path.write_text(render_instance(inst))
-        monkeypatch.setenv("RECAMP_NODE_BUDGET", "10")
-        code, _ = run("solve", path, "--algorithm", "brute")
-        assert code == 3
-
-    def test_fpt_node_budget(self, run, tmp_path, monkeypatch):
+    def test_fpt_node_budget(self, run, tmp_path):
         path = tmp_path / "bounded.json"
         gen = ("gen", "-k", 4, "-n", 9, "--rule", "borda", "--bound", 3, "-o", path)
         assert run(*gen)[0] == 0
         assert run("solve", path, "--node-budget", 1)[0] == 3
         assert run("solve", path, "--algorithm", "brute", "--node-budget", 1)[0] == 3
-        monkeypatch.setenv("RECAMP_NODE_BUDGET", "1")
-        assert run("solve", path)[0] == 3
-        assert run("solve", path, "--algorithm", "brute")[0] == 3
+
+    @pytest.mark.parametrize("label", list(ROUTE_PROBES))
+    def test_bad_node_budget_exits_2_on_every_route(self, run, tmp_path, label):
+        """`auto` and every route's `--algorithm` check `--node-budget`
+        alike, on an instance that route decides: below 1 is a usage error,
+        whichever route."""
+        inst = ROUTE_PROBES[label]
+        path = tmp_path / "probe.json"
+        path.write_text(render_instance(inst))
+        route = next(name for name, route in ROUTES.items() if route.test(inst))
+        for algorithm in ("auto", route):
+            code, out = run("solve", path, "--algorithm", algorithm)
+            assert code in (0, 1) and json.loads(out)["algorithm"] == label
+            assert run("solve", path, "--algorithm", algorithm, "--node-budget", 1000)[0] == code
+            for budget in (0, -5):
+                argv = ("solve", path, "--algorithm", algorithm, "--node-budget", budget)
+                assert run(*argv)[0] == 2
 
     def test_unreadable_file(self, run, tmp_path):
         code, _ = run("solve", tmp_path / "absent.json")
@@ -404,6 +406,18 @@ class TestReduce:
         assert code == 0
         inst = parse_instance(out_path.read_text())
         assert inst.bound == AtMost(3)
+
+    @pytest.mark.parametrize("t", [250, 256])
+    @pytest.mark.parametrize("bound", ["3", "unbounded"])
+    def test_veto_gadget_past_a_byte_solves_yes(self, run, tmp_path, t, bound):
+        # 250 or more own candidates a district: own + |S| passes 255, and
+        # the district oracle still finds the source's cover (exit 0).
+        src_path, out_path = tmp_path / "x3c.json", tmp_path / "out.json"
+        src_path.write_text(render_x3c(X3C_YES))
+        reduce_ = ("reduce", src_path, "--from", "x3c", "--to", "vetoL", "--t", t)
+        assert run(*reduce_, "--bound", bound, "-o", out_path)[0] == 0
+        code, out = run("solve", out_path)
+        assert code == 0 and json.loads(out)["answer"] == "YES"
 
     def test_oversize_t_exits_2(self, run, tmp_path, monkeypatch):
         # t - 1 blocker names per group would not fit in memory: refused

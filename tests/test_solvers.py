@@ -575,6 +575,18 @@ EXPLICIT_SPREAD_60 = ExplicitScoringFamily(
 )
 
 
+def _one_district_verdicts(inst, order):
+    """The verdict of the one district of `inst` on each subset of `order`,
+    by mask (bit n-1-j stands for order[j]), from `winners`."""
+    n, want = len(order), []
+    for mask in range(2**n):
+        placed = frozenset(a for j, a in enumerate(order) if mask >> (n - 1 - j) & 1)
+        w = winners(inst.rule, inst.election_with(1, placed))
+        within = inst.bound == UNBOUNDED or len(w) <= inst.bound.limit
+        want.append(not placed or (placed <= w and within))
+    return want
+
+
 class TestDistrictOracle:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
@@ -637,11 +649,13 @@ class TestDistrictOracle:
         ],
     )
     @pytest.mark.parametrize("bound", [AtMost(2), UNBOUNDED])
-    def test_narrow_tallies_match_winners(self, rule, votes, bound):
+    def test_narrow_tallies_match_winners(self, rule, votes, bound, monkeypatch):
         """One district of two own candidates and three additional, every
         subset against `winners`, at ballot counts where the tally type
         widens.  Every ballot ranks a1 first, so a1 scores the most a tally
-        can hold wherever it is placed."""
+        can hold wherever it is placed.  Both ranking paths of the scoring
+        kernel run on each input: an add per position (`_ADD_WORDS` 0) and
+        one strided accumulate (`_ADD_WORDS` past any block)."""
         rng = random.Random(votes)
         own, order = ["d1", "d2"], ["a1", "a2", "a3"]
         ballots = []
@@ -651,12 +665,32 @@ class TestDistrictOracle:
             ballots.append(LinearVote(["a1"] + rest))
         inst = RecampaignInstance(rule, (District(own, ballots),), frozenset(order), bound)
         masks = np.arange(8, dtype=np.int32)
-        want = []
-        for mask in range(8):
-            placed = frozenset(a for j, a in enumerate(order) if mask >> (2 - j) & 1)
-            w = winners(rule, inst.election_with(1, placed))
-            want.append(not placed or (placed <= w and (bound == UNBOUNDED or len(w) <= 2)))
-        assert _accepts(inst, 0, order, _Batch(masks, 3, 2)).tolist() == want
+        want = _one_district_verdicts(inst, order)
+        for add_words in (0, 2**62):
+            monkeypatch.setattr(solvers, "_ADD_WORDS", add_words)
+            assert _accepts(inst, 0, order, _Batch(masks, 3, 2)).tolist() == want
+
+    @pytest.mark.parametrize("rule", [TVeto(250), Borda()])
+    @pytest.mark.parametrize("own", [253, 300])
+    @pytest.mark.parametrize("bound", [AtMost(2), UNBOUNDED])
+    def test_set_sizes_past_a_byte_match_winners(self, rule, own, bound):
+        """A district of 253 or 300 own candidates and three additional,
+        every subset against `winners`: own + |S| passes 255, so the set
+        sizes the kernel ranks by must not be counted in a byte (253 + 3
+        wrapped to 0, and 300 did not fit)."""
+        rng = random.Random(own)
+        names, order = [f"d{i:03d}" for i in range(own)], ["a1", "a2", "a3"]
+        ballots = []
+        for _ in range(5):
+            rest = names[:]
+            rng.shuffle(rest)
+            cut = rng.randint(0, 3)
+            ballots.append(LinearVote(order[:cut] + rest[:40] + order[cut:] + rest[40:]))
+        inst = RecampaignInstance(rule, (District(names, ballots),), frozenset(order), bound)
+        want = _one_district_verdicts(inst, order)
+        assert True in want[1:]  # some placed set wins
+        masks = np.arange(8, dtype=np.int32)
+        assert _accepts(inst, 0, order, _Batch(masks, 3, own)).tolist() == want
 
 
     @staticmethod
@@ -1251,17 +1285,6 @@ class TestSolveAuto:
         with pytest.raises(ResourceBudgetError):
             solve_auto(inst, node_budget=100)
 
-    def test_env_var_overrides_budget(self, monkeypatch):
-        inst = RecampaignInstance(
-            TApproval(1),
-            tuple(District([]) for _ in range(10)),
-            frozenset(f"a{j}" for j in range(9)),
-            UNBOUNDED,
-        )
-        monkeypatch.setenv("RECAMP_NODE_BUDGET", "100")
-        with pytest.raises(ResourceBudgetError):
-            solve_auto(inst)
-
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=120, deadline=None)
     def test_always_matches_brute_force(self, seed):
@@ -1374,14 +1397,23 @@ ROUTE_PROBES = {
 
 @pytest.mark.parametrize("algorithm", list(ROUTE_PROBES))
 def test_node_budget_is_checked_on_every_route(algorithm):
-    """`solve_auto` checks the node budget before routing, so a bad budget
-    is a usage error whichever route would decide, not only on the DP's."""
+    """Every route's method checks the node budget as `solve_auto` does, so
+    a bad budget is a usage error whichever route decides, not only on the
+    DP's, and it is checked before the variant."""
     inst = ROUTE_PROBES[algorithm]
-    assert solve_auto(inst).algorithm == algorithm
-    assert solve_auto(inst, node_budget=1000).algorithm == algorithm
-    for budget in (0, -5, "x", True, 2.5):
-        with pytest.raises(ShapeError, match="node budget"):
-            solve_auto(inst, node_budget=budget)
+    route = next(route for route in ROUTES.values() if route.test(inst))
+    for solve in (solve_auto, route.method):
+        assert solve(inst).algorithm == algorithm
+        assert solve(inst, node_budget=1000).algorithm == algorithm
+        for budget in (0, -5, "x", True, 2.5):
+            with pytest.raises(ShapeError, match="node budget"):
+                solve(inst, node_budget=budget)
+    for other in ROUTES.values():
+        if not other.test(inst):
+            with pytest.raises(ShapeError, match="node budget"):
+                other.method(inst, node_budget=0)
+            with pytest.raises(WrongVariantError, match=other.variant):
+                other.method(inst, node_budget=1000)
 
 
 def test_cross_validate_script_agrees():
